@@ -28,8 +28,8 @@ FABRIC_CHAOS_TESTS ?= tests/fabric
 .PHONY: test smoke smoke-campaign leap-audit chaos fabric-chaos bench bench-warm bench-throughput profile trace
 
 # Fast leap-audit slice for `make smoke`: two miss-heavy kernels at the
-# short budget plus the formerly-divergent cells through the batched
-# backend (the full sweep is `make leap-audit`).
+# short budget plus the formerly-divergent cells, leap vs reference
+# (the full sweep is `make leap-audit`).
 LEAP_SMOKE ?= formerly or ((mcf_like or equake_like) and 800)
 
 ## Full tier-1 suite (slow: full instruction budgets).  The fast smoke
@@ -55,7 +55,7 @@ smoke:
 ## suite kernel x every machine model x two budgets, leap engine vs
 ## cycle-by-cycle reference engine (leap=False), full-stats equality —
 ## plus the idle-skip micro-programs and the formerly-divergent cells
-## through the batched backend.  Run this after touching any
+## at two L2 latencies.  Run this after touching any `step_cycle`,
 ## `_head_wakeup` / `next_event_cycle` override or mode machinery.
 leap-audit:
 	$(PYTHON) -m pytest -q tests/engine/test_leap_audit.py \
@@ -84,26 +84,25 @@ chaos:
 fabric-chaos:
 	$(PYTHON) -m pytest -x -q $(FABRIC_CHAOS_TESTS)
 
-## Campaign throughput (jobs=1 vs jobs=N — skipped+flagged on 1-CPU
-## hosts — scalar-vs-batched lane execution, disk-store cold/warm, a
-## seeded generated suite, the phase-attribution on/off delta, and the
-## fault-tolerance faults-off-vs-chaos delta, and the sequential-vs-
-## lease-fabric coordination delta, and the trace-off-vs-on obs
-## overhead; every comparison is min-of-3
-## interleaved) as machine-readable JSON, plus the compact
+## Campaign throughput (jobs=1 vs jobs=N, disk-store cold/warm, a
+## seeded generated suite, the phase-attribution on/off delta, the
+## fault-tolerance faults-off-vs-chaos delta, the sequential-vs-lease-
+## fabric delta, and the trace-off-vs-on obs overhead; every comparison
+## is min-of-3 interleaved) as machine-readable JSON, plus the compact
 ## trend record (schema v8).  BENCH_throughput.json at the repo root is
 ## the checked-in baseline; before overwriting it the fresh record is
 ## compared against it and any >20% throughput regression is shouted
-## to stderr.
+## to stderr.  The repo's layered benchmark (BENCHMARK.json) is
+## `python3 benchmarks/perf/run.py --workload W`.
 bench:
 	$(PYTHON) benchmarks/bench_throughput.py --output BENCH_throughput.json
 
-## cProfile the sequential Figure 5 grid (the number `make bench`
-## records) and write the top-25 cumulative/tottime tables to
-## profile.out — the one-command answer to "what should the next perf
-## PR attack".
+## cProfile one in-process pass of the benchmark's Figure 5 grid
+## workload and write its top-25 self-time rows to profile.out, each
+## tagged with the layer metric that owns it — the one-command answer
+## to "what should the next perf change attack".
 profile:
-	$(PYTHON) benchmarks/profile_grid.py --output profile.out
+	$(PYTHON) benchmarks/perf/run.py --profile fig5-grid > profile.out
 
 ## Store-hot second-run benchmark: only the cold/warm store phase,
 ## against a persistent store under .repro-cache/ — the first

@@ -1,6 +1,6 @@
 """Campaign throughput: the Figure 5 grid, engine speed vs cache power.
 
-Six measurements, separated so the trend record can tell them apart:
+Seven measurements, separated so the trend record can tell them apart:
 
 * **engine speed** — jobs=1 (and, on multi-core hosts, jobs=N) over the
   grid with every memo tier off (``memo=False``): pure simulation
@@ -9,13 +9,6 @@ Six measurements, separated so the trend record can tell them apart:
   a "parallel" number there is an anti-measurement (the v5 records
   showed jobs=N *slower* than jobs=1 for exactly this reason).  Pass
   ``--jobs`` to force it.
-* **batched execution** — a sweep-shaped campaign (one L2-latency sweep
-  per (workload, model), the shape `plan_batches` groups into
-  lane-vectors) run scalar (``REPRO_BATCH=1``) vs batched
-  (``REPRO_BATCH=auto``), byte-identity checked.  The Figure 5 grid
-  itself is width-1 — every (workload, model) appears under one config —
-  so batching is bypassed there by construction; this phase measures
-  the shape that actually batches.
 * **store effectiveness** — a cold pass (empty disk store, results
   flushed to it) vs a warm pass (RAM memo cleared, every cell loaded
   back from the store): what an incremental re-run of a completed
@@ -39,7 +32,8 @@ Six measurements, separated so the trend record can tell them apart:
   byte-identity checked.
 
 Methodology: every on-vs-off comparison (engine jobs=1 vs jobs=N,
-batch scalar vs batched, attribution on vs off, faults clean vs chaos)
+attribution on vs off, faults clean vs chaos, sequential vs fabric,
+trace off vs on)
 takes the **min of three timed reps per side, interleaved A/B/A/B**, so
 machine drift hits both sides alike — on shared hosts wall clocks drift
 +-10% over tens of seconds, which is enough to flip the sign of a
@@ -56,7 +50,7 @@ Usable three ways:
   ``--store-dir`` persists the store between invocations (second runs
   are store-hot); ``--store-only`` skips everything but the store phase.
 * ``--output BENCH_throughput.json`` additionally writes the compact
-  trend record (schema v8: commit, jobs, grid, batch widths, sims/sec,
+  trend record (schema v8: commit, jobs, grid, sims/sec,
   store cold/warm, generated-suite rates, attribution delta,
   fault-recovery delta, fabric rate, obs-overhead delta, env) — ``make bench`` uses this.  When the
   output file already holds a previous record, the new one is compared
@@ -86,7 +80,6 @@ from repro.exec import (  # noqa: E402
     CampaignReport,
     FaultPlan,
     ResultStore,
-    SimJob,
     default_jobs,
     injected_faults,
     run_jobs,
@@ -151,7 +144,6 @@ def run_engine_phase(config: ExperimentConfig, workloads,
         simulated = sum(r.instructions for r in results)
         return {
             "jobs": jobs,
-            "batch": 1,  # grid cells are unique (workload, model) pairs
             "reps": len(walls),
             "simulations": len(specs),
             "wall_clock_s": round(wall, 3),
@@ -168,75 +160,6 @@ def run_engine_phase(config: ExperimentConfig, workloads,
         phase["results_identical"] = (_payloads(seq_results)
                                       == _payloads(par_results))
     return phase
-
-
-#: The batch phase's sweep: one L2-latency axis per (workload, model),
-#: so ``plan_batches`` folds each (workload, model) run into one
-#: 8-lane ``BatchJob`` over a shared trace.
-BATCH_SWEEP_L2 = (6, 10, 20, 40, 80, 160, 300, 500)
-BATCH_WORKLOADS = ("mcf_like", "gzip_like")
-
-
-def run_batch_phase(config: ExperimentConfig) -> dict:
-    """Scalar vs lane-batched execution over a sweep-shaped campaign.
-
-    Same jobs, same worker count, same memo tiers (all off) — the only
-    difference is ``REPRO_BATCH``: ``1`` runs every config through the
-    scalar engine, ``auto`` lets the scheduler group each (workload,
-    model) sweep into one lane-vector.  Byte-identity of the full
-    payloads is the batched backend's core contract; the speedup is the
-    honest in-process number (the trace cache and warm-snapshot store
-    already amortise most of what batching shares, so expect ~1x here
-    until the per-lane stepping itself is vectorised).
-    """
-    from repro.engine.batch import BatchJob, plan_batches
-    from repro.exec import TRACE_CACHE
-
-    jobs = [SimJob(model, workload,
-                   dataclasses.replace(config, l2_hit_latency=latency))
-            for workload in BATCH_WORKLOADS
-            for model in MODELS
-            for latency in BATCH_SWEEP_L2]
-    for workload in BATCH_WORKLOADS:
-        TRACE_CACHE.get(workload, config.instructions)
-    groups = plan_batches(jobs, 0)
-    lane_counts = sorted({len(g.jobs) for g in groups
-                          if isinstance(g, BatchJob)})
-
-    def one_pass(width: str):
-        os.environ["REPRO_BATCH"] = width
-        try:
-            return _timed(lambda: run_jobs(jobs, workers=1,
-                                           memo=False, store=False))
-        finally:
-            os.environ.pop("REPRO_BATCH", None)
-
-    one_pass("1")  # prime
-    scalar_walls, batched_walls = [], []
-    scalar = batched = None
-    for _ in range(COMPARE_REPS):
-        wall, scalar = one_pass("1")
-        scalar_walls.append(wall)
-        wall, batched = one_pass("auto")
-        batched_walls.append(wall)
-    scalar_wall, batched_wall = min(scalar_walls), min(batched_walls)
-    sims = len(jobs)
-    return {
-        "methodology": METHODOLOGY,
-        "width": "auto",
-        "simulations": sims,
-        "groups": len(groups),
-        "lanes_per_group": lane_counts,
-        "sweep_l2_latencies": list(BATCH_SWEEP_L2),
-        "workloads": list(BATCH_WORKLOADS),
-        "reps": COMPARE_REPS,
-        "scalar_wall_s": round(scalar_wall, 3),
-        "batched_wall_s": round(batched_wall, 3),
-        "scalar_sims_per_sec": round(sims / scalar_wall, 2),
-        "batched_sims_per_sec": round(sims / batched_wall, 2),
-        "speedup": round(scalar_wall / batched_wall, 2),
-        "results_identical": _payloads(scalar) == _payloads(batched),
-    }
 
 
 def run_store_phase(config: ExperimentConfig, workloads,
@@ -661,12 +584,10 @@ def campaign_throughput(parallel_jobs: int | None = None,
     skip_parallel = cpu_count <= 1 and not forced
     # The environment must not leak into the measurements: the engine
     # phases are pure simulation (no memo tiers), the store phase uses
-    # its own explicit store, and each batch pass pins its own
-    # REPRO_BATCH — but warm-hierarchy checkpoints resolve the env store
-    # inside core construction, so a dirty .repro-cache/ (or an ambient
-    # batch width) would corrupt the trend record.  Restored afterwards.
+    # its own explicit store — but warm-hierarchy checkpoints resolve
+    # the env store inside core construction, so a dirty .repro-cache/
+    # would corrupt the trend record.  Restored afterwards.
     prior_store_env = os.environ.get("REPRO_STORE")
-    prior_batch_env = os.environ.pop("REPRO_BATCH", None)
     # An ambient REPRO_FABRIC_WORKERS would silently reroute every
     # non-fabric phase's campaigns through the fabric; the fabric phase
     # passes its worker count explicitly.
@@ -700,7 +621,6 @@ def campaign_throughput(parallel_jobs: int | None = None,
                 report["speedup"] = engine["speedup"]
                 report["parallel_results_identical"] = \
                     engine["results_identical"]
-            report["batch"] = run_batch_phase(config)
             report["generated"] = run_generated_phase(config)
             report["phase_attribution"] = run_phase_attribution_phase(config)
             report["fault_tolerance"] = run_fault_tolerance_phase(
@@ -710,7 +630,6 @@ def campaign_throughput(parallel_jobs: int | None = None,
         report["store"] = run_store_phase(config, workloads, store_dir)
         verdicts = [report["store"]["results_identical"]]
         if not store_only:
-            verdicts.append(report["batch"]["results_identical"])
             verdicts.append(report["fault_tolerance"]["results_identical"])
             verdicts.append(report["fabric"]["results_identical"])
             verdicts.append(report["obs"]["results_identical"])
@@ -722,8 +641,6 @@ def campaign_throughput(parallel_jobs: int | None = None,
             os.environ.pop("REPRO_STORE", None)
         else:
             os.environ["REPRO_STORE"] = prior_store_env
-        if prior_batch_env is not None:
-            os.environ["REPRO_BATCH"] = prior_batch_env
         if prior_fabric_env is not None:
             os.environ["REPRO_FABRIC_WORKERS"] = prior_fabric_env
     return report
@@ -750,12 +667,6 @@ def test_campaign_throughput(once):
             "parallel run diverged from sequential"
         assert report["parallel"]["simulated_instructions"] == \
             sequential["simulated_instructions"]
-    batch = report["batch"]
-    assert batch["results_identical"], "batched run diverged from scalar"
-    assert batch["methodology"] == METHODOLOGY
-    assert batch["groups"] < batch["simulations"], "nothing actually batched"
-    assert batch["lanes_per_group"] == [len(BATCH_SWEEP_L2)]
-    assert batch["batched_sims_per_sec"] > 0
     store = report["store"]
     assert store["results_identical"], "store-warm pass diverged from cold"
     assert store["warm_all_hits"], "warm pass missed the disk store"
@@ -802,14 +713,14 @@ def test_regression_guard():
 
     previous = {"commit": "abc1234",
                 "sims_per_sec": {"jobs1": 10.0},
-                "batch": {"batched_sims_per_sec": 8.0}}
+                "generated": {"sims_per_sec": 8.0}}
     quiet = io.StringIO()
     fresh_ok = {"sims_per_sec": {"jobs1": 9.0},
-                "batch": {"batched_sims_per_sec": 7.5}}
+                "generated": {"sims_per_sec": 7.5}}
     assert warn_on_regression(previous, fresh_ok, stream=quiet) == []
     assert quiet.getvalue() == ""
     loud = io.StringIO()
-    fresh_bad = {"sims_per_sec": {"jobs1": 5.0}}  # batch metric absent: skip
+    fresh_bad = {"sims_per_sec": {"jobs1": 5.0}}  # generated absent: skip
     warnings = warn_on_regression(previous, fresh_bad, stream=loud)
     assert len(warnings) == 1
     assert "sims_per_sec.jobs1" in warnings[0]
@@ -836,12 +747,11 @@ def bench_record(report: dict) -> dict:
     the sequential grid, the telemetry subsystem's measured overhead).
     Enough for a dashboard to plot every trajectory across PRs and to
     tell an engine regression from a cache, generator, attribution,
-    batching, recovery-path, coordination-layer, or telemetry
-    regression, without re-parsing the full report.
+    recovery-path, coordination-layer, or telemetry regression, without
+    re-parsing the full report.
     """
     sequential = report["sequential"]
     parallel = report["parallel"]
-    batch = report["batch"]
     store = report["store"]
     generated = report["generated"]
     attribution = report["phase_attribution"]
@@ -877,19 +787,6 @@ def bench_record(report: dict) -> dict:
             "jobs1": sequential["wall_clock_s"],
             "jobsN": parallel["wall_clock_s"] if parallel else None,
             "reps": sequential["reps"],
-        },
-        "batch": {
-            "width": batch["width"],
-            "simulations": batch["simulations"],
-            "groups": batch["groups"],
-            "lanes_per_group": batch["lanes_per_group"],
-            "reps": batch["reps"],
-            "scalar_wall_s": batch["scalar_wall_s"],
-            "batched_wall_s": batch["batched_wall_s"],
-            "scalar_sims_per_sec": batch["scalar_sims_per_sec"],
-            "batched_sims_per_sec": batch["batched_sims_per_sec"],
-            "speedup": batch["speedup"],
-            "results_identical": batch["results_identical"],
         },
         "store": {
             "cold_wall_s": store["cold"]["wall_clock_s"],
@@ -974,7 +871,6 @@ def bench_record(report: dict) -> dict:
 #: store ratio is host-normalised).
 GUARD_METRICS = (
     "sims_per_sec.jobs1",
-    "batch.batched_sims_per_sec",
     "generated.sims_per_sec",
     "store.warm_speedup",
     "fabric.sims_per_sec",
@@ -1001,7 +897,7 @@ def warn_on_regression(previous: dict, fresh: dict,
     them to ``stream`` (default stderr) loudly enough that a regressed
     ``make bench`` cannot be mistaken for a clean one.  Schema-tolerant:
     metrics absent from either record (e.g. a v5 baseline without the
-    batch phase) are skipped, never guessed.
+    fabric phase) are skipped, never guessed.
     """
     stream = stream if stream is not None else sys.stderr
     warnings = []

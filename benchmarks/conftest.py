@@ -27,8 +27,6 @@ def hermetic_result_store(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-    # Each bench phase chooses its own batch width explicitly.
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
 
 
 def run_once(benchmark, fn):

@@ -1,7 +1,7 @@
 """The vanilla in-order baseline.
 
-This is :class:`~repro.engine.base.CoreModel` unchanged except for a
-merged per-cycle hot path: the pipeline stalls at the first instruction
+This is :class:`~repro.engine.base.CoreModel`'s issue rules plus the
+model's one per-cycle body: the pipeline stalls at the first instruction
 that uses a missing load's value, while independent accesses behind it
 in the fetch queue wait.  Table 1's non-blocking hierarchy still
 overlaps misses that issue before the pipeline blocks.
@@ -19,12 +19,11 @@ class InOrderCore(CoreModel):
     name = "in-order"
 
     def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (phases flattened into one
-        # frame; the base phase methods remain the reference semantics —
-        # the golden fixtures pin equivalence).
+        # The model's only per-cycle body; the golden fixtures and the
+        # leap audit (leap vs. ``leap=False``) pin its behaviour.
         cycle = self.cycle + 1
         self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
+        # miss returns (MSHR retire fast path inlined)
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -35,7 +34,7 @@ class InOrderCore(CoreModel):
             self.returned_mshrs = data_mshrs.retire_complete(cycle)
         else:
             self.returned_mshrs = NO_MSHRS
-        # do_issue
+        # in-order issue
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..engine.base import FetchEntry, ISSUED, STALLED
 from ..functional.trace import DynInst
-from ..memory.hierarchy import NO_MSHRS
 from .runahead import RUNAHEAD, RunaheadCore
 
 
@@ -43,91 +42,21 @@ class MultipassCore(RunaheadCore):
             return entry.decode_ready
         return super()._head_wakeup(entry)
 
-    def try_issue(self, entry: FetchEntry) -> str:
+    # Runahead's per-cycle body, bound on this class too so class-level
+    # probes (benchmarks/perf) can wrap each model's step separately.
+    # Result reuse hooks in through the two mode-bound issue methods
+    # below (explicit base calls: cheaper than super() per attempt).
+    step_cycle = RunaheadCore.step_cycle
+
+    def _try_issue_normal(self, entry: FetchEntry) -> str:
         if entry.dyn.index in self._results:
             return self._issue_reused(entry)
-        return self._mode_issue(entry)
+        return RunaheadCore._try_issue_normal(self, entry)
 
-    def do_issue(self) -> None:
-        # Specialised copy of CoreModel.do_issue with the result-reuse
-        # check inlined ahead of the mode-bound issue path.
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        slots = self._width
-        cycle = self.cycle
-        results = self._results
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            if entry.dyn.index in results:
-                status = self._issue_reused(entry)
-            else:
-                status = self._mode_issue(entry)
-            if status is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
-    def step_cycle(self) -> None:
-        # Merged copy of RunaheadCore.step_cycle with the result-reuse
-        # check inlined into the issue loop (kept in sync with the phase
-        # methods; the golden fixtures pin its equivalence).
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
-        hierarchy = self.hierarchy
-        ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
-        data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
-        if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
-            self._exit_runahead()
-        # do_issue (with result reuse)
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            results = self._results
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if entry.dyn.index in results:
-                    status = self._issue_reused(entry)
-                else:
-                    status = self._mode_issue(entry)
-                if status is not ISSUED:
-                    break
-                fetch_queue.popleft()
-                progress = True
-                slots -= 1
-        self._progress = progress
-        # do_fetch (shared body; guard saves the call when idle)
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # store drain
-        store_queue = self.store_queue
-        if store_queue._queue and store_queue.drain_step(
-                self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()
+    def _try_issue_runahead(self, entry: FetchEntry) -> str:
+        if entry.dyn.index in self._results:
+            return self._issue_reused(entry)
+        return RunaheadCore._try_issue_runahead(self, entry)
 
     def _issue_reused(self, entry: FetchEntry) -> str:
         """Replay an instruction whose result a previous pass recorded.

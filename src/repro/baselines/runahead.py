@@ -38,10 +38,9 @@ class RunaheadCore(CoreModel):
 
     def __init__(self, trace, config=None, hierarchy=None, predictor=None,
                  advance_on: str = "l2", runahead_cache_entries: int = 256,
-                 lane_params=None, lane=0, leap=None) -> None:
+                 leap=None) -> None:
         super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, lane_params=lane_params,
-                         lane=lane, leap=leap)
+                         predictor=predictor, leap=leap)
         if advance_on not in ("l2", "l2_d1", "all"):
             raise ValueError(f"unknown advance_on: {advance_on}")
         self.advance_on = advance_on
@@ -52,18 +51,13 @@ class RunaheadCore(CoreModel):
         self._ckpt_cursor = 0
         self._ckpt_reg_ready: list[int] | None = None
         #: Mode-bound issue path (rebound on mode transitions) — saves a
-        #: dispatch hop per issue attempt on the hot path.
+        #: dispatch hop per issue attempt on the hot path.  Subclasses
+        #: hook issue by overriding the two methods it binds.
         self._mode_issue = self._try_issue_normal
 
     # ==================================================================
     # mode control
     # ==================================================================
-    def begin_cycle(self) -> None:
-        # Flattened super() chain: this runs every stepped cycle.
-        self.returned_mshrs = self.hierarchy.retire_mshrs(self.cycle)
-        if self.mode == RUNAHEAD and self.cycle >= self._trigger_ready:
-            self._exit_runahead()
-
     def next_event_cycle(self) -> int | None:
         """Horizon: a runahead period ends when the trigger miss fills."""
         if self.mode == RUNAHEAD:
@@ -145,39 +139,12 @@ class RunaheadCore(CoreModel):
     # ==================================================================
     # issue
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
-        return self._mode_issue(entry)
-
-    def do_issue(self) -> None:
-        # Specialised copy of CoreModel.do_issue that invokes the
-        # mode-bound issue path directly (re-read per iteration: an
-        # issue can start or end a runahead period mid-cycle).
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        slots = self._width
-        cycle = self.cycle
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            if self._mode_issue(entry) is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
     def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (begin/issue/drain phases
-        # flattened into one frame; the phase methods above are kept in
-        # sync for direct driving).  This is the per-cycle hot path —
-        # the golden fixtures pin its equivalence.
+        # The only per-cycle body of the runahead family (Multipass
+        # shares it); the golden fixtures and the leap audit pin it.
         cycle = self.cycle + 1
         self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
+        # miss returns (MSHR retire fast path inlined), runahead exit
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -190,7 +157,8 @@ class RunaheadCore(CoreModel):
             self.returned_mshrs = NO_MSHRS
         if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
             self._exit_runahead()
-        # do_issue
+        # in-order issue through the mode-bound path, re-read per
+        # iteration: an issue can start a runahead period mid-cycle
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity

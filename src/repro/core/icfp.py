@@ -95,10 +95,9 @@ class ICFPCore(CoreModel):
 
     def __init__(self, trace, config=None, hierarchy=None, predictor=None,
                  features: ICFPFeatures | None = None,
-                 lane_params=None, lane=0, leap=None) -> None:
+                 leap=None) -> None:
         super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, lane_params=lane_params,
-                         lane=lane, leap=leap)
+                         predictor=predictor, leap=leap)
         self.features = features if features is not None else ICFPFeatures()
         f = self.features
         self._mt_rally = f.mt_rally
@@ -134,22 +133,20 @@ class ICFPCore(CoreModel):
         self._shadow_stores: dict[int, object] = {}
         self._rallied_since_fallback = False
         self._stale_check_needed = False
-        self._mode_at_cycle_start = NORMAL
 
     # ==================================================================
-    # per-cycle phases
+    # the per-cycle body
     # ==================================================================
     def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (phases flattened into one
-        # frame; kept in sync with the phase methods below, which remain
-        # for direct driving — the golden fixtures pin equivalence).
-        # iCFP replaces the conventional store queue with the chained
-        # store buffer (drained in the end phase), so the base drain
-        # phase would only probe an always-empty queue and is omitted.
+        # The only per-cycle body of the iCFP family (SLTP inherits it);
+        # the golden fixtures and the leap audit pin it.  iCFP replaces
+        # the conventional store queue with the chained store buffer
+        # (drained at the end of the cycle), so the conventional queue,
+        # always empty here, is never probed.
         cycle = self.cycle + 1
         self.cycle = cycle
         mode_at_start = self.mode
-        # begin_cycle (retire fast path inlined)
+        # miss returns (MSHR retire fast path inlined), rally start
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -168,13 +165,19 @@ class ICFPCore(CoreModel):
                     self.pending_rally_mask |= mask
             if not self.rally_active:
                 if self._stale_check_needed:
+                    # Entries captured *while* a pass was in flight can
+                    # carry a bit whose miss returned during that very
+                    # pass; that bit will never "return" again.  Re-queue
+                    # any active bits with no in-flight fill behind them
+                    # so the next pass sweeps them up.
                     self._stale_check_needed = False
                     stale = self.slice.pending_poison() & ~self._in_flight_bits()
                     if stale:
                         self.pending_rally_mask |= stale
                 if self.pending_rally_mask and self.slice._active:
                     self._start_rally_pass()
-        # do_issue
+        # rally slot, then in-order tail issue through the mode-bound
+        # path (re-read per iteration: an issue can flip the mode)
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -209,7 +212,7 @@ class ICFPCore(CoreModel):
                 and self.cursor < self._trace_len
                 and len(fetch_queue) < self._fq_depth):
             self.do_fetch()
-        # end_cycle: gated store-buffer drain + mode-exit checks
+        # gated store-buffer drain + mode-exit checks
         checkpoint = self.checkpoint
         sb = self.sb
         if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
@@ -232,85 +235,12 @@ class ICFPCore(CoreModel):
         if not self._progress:
             self._leap_to_horizon()
 
-    def begin_cycle(self) -> None:
-        # Flattened super() chain: this runs every stepped cycle.
-        self._mode_at_cycle_start = self.mode
-        returned = self.hierarchy.retire_mshrs(self.cycle)
-        self.returned_mshrs = returned
-        if self.mode == NORMAL:
-            return
-        if returned:
-            mask = self.poison_alloc.mask_of_returned(returned)
-            if mask:
-                self.pending_rally_mask |= mask
-        if not self.rally_active:
-            if self._stale_check_needed:
-                # Entries captured *while* a pass was in flight can carry
-                # a bit whose miss returned during that very pass; that
-                # bit will never "return" again.  Re-queue any active
-                # bits with no in-flight fill behind them so the next
-                # pass sweeps them up.
-                self._stale_check_needed = False
-                stale = self.slice.pending_poison() & ~self._in_flight_bits()
-                if stale:
-                    self.pending_rally_mask |= stale
-            if self.pending_rally_mask and self.slice.active_count():
-                self._start_rally_pass()
-
     def _in_flight_bits(self) -> int:
         mask = 0
         for mshr in self.hierarchy.mshrs.pending():
             if mshr.poison_bit is not None:
                 mask |= 1 << mshr.poison_bit
         return mask
-
-    def do_issue(self) -> None:
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        slots = self._width
-        if self.rally_active:
-            if self._rally_step():
-                # The rally slot did real work this cycle.
-                slots -= 1
-                self._progress = True
-            elif not self.rally_active:
-                # Pass ended (or squashed) this cycle — a state change
-                # the leap must not skip.
-                self._progress = True
-            if not self.features.mt_rally:
-                return  # tail blocked while a rally is in flight
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        cycle = self.cycle
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            # Read _mode_issue per iteration: an issue can flip the mode
-            # (e.g. a load entering advance) mid-cycle.
-            if self._mode_issue(entry) is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
-    def end_cycle(self) -> None:
-        checkpoint = self.checkpoint
-        gate = checkpoint.ssn if checkpoint is not None else None
-        if self.sb.drain_step(self.hierarchy, self.cycle,
-                              self.committed_memory, before_ssn=gate):
-            self._progress = True
-        mode = self.mode
-        if mode == SIMPLE_RA:
-            self._maybe_resume_advance()
-        elif mode == ADVANCE:
-            self._maybe_exit_advance()
-        if self.mode is not self._mode_at_cycle_start:
-            # Same rule as the merged step: a mode flip swaps the
-            # head's issue rules, so the leap must step the boundary.
-            self._progress = True
 
     def done(self) -> bool:
         return (
@@ -323,17 +253,17 @@ class ICFPCore(CoreModel):
 
     def next_event_cycle(self) -> int | None:
         """Horizon: rally waits, blocked rallies, the gated SB drain, and
-        the rally-start triggers that only a stepped ``begin_cycle`` can
-        act on (the pending rally mask and the stale-bit re-queue) —
-        without exporting those, a leap could glide over the very cycle
-        that would have launched the next rally pass."""
+        the rally-start triggers that only a stepped cycle can act on
+        (the pending rally mask and the stale-bit re-queue) — without
+        exporting those, a leap could glide over the very cycle that
+        would have launched the next rally pass."""
         hints = []
         cycle = self.cycle
         if self.rally_active:
             if self._rally_wait_until > cycle:
                 hints.append(self._rally_wait_until)
         elif self.mode != NORMAL and self.slice._active:
-            # begin_cycle would start a rally pass on the next stepped
+            # step_cycle would start a rally pass on the next stepped
             # cycle if any bits are queued — either directly in
             # pending_rally_mask or re-queued by the deferred stale
             # check (read-only here: the flag is cleared on the stepped
@@ -384,9 +314,6 @@ class ICFPCore(CoreModel):
     # ==================================================================
     # issue paths
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
-        return self._mode_issue(entry)
-
     # ------------------------------------------------------------------
     # normal mode
     # ------------------------------------------------------------------

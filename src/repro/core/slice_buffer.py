@@ -86,9 +86,6 @@ class SliceBuffer:
     def empty(self) -> bool:
         return not self._entries
 
-    def active_count(self) -> int:
-        return self._active
-
     def deactivate(self, entry: SliceEntry) -> None:
         """Mark ``entry`` processed (un-poisoned in place)."""
         if entry.active:

@@ -1,18 +1,13 @@
 """Timing engine: cycle-level in-order core model and results."""
 
 from .base import CoreModel, FetchEntry, ISSUED, STALLED, SimulationDiverged
-from .batch import BatchJob, LaneParams, plan_batches, run_lanes
 from .result import SimResult
 
 __all__ = [
-    "BatchJob",
     "CoreModel",
     "FetchEntry",
     "ISSUED",
-    "LaneParams",
     "STALLED",
     "SimulationDiverged",
     "SimResult",
-    "plan_batches",
-    "run_lanes",
 ]

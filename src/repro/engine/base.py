@@ -1,13 +1,15 @@
 """Cycle-level in-order core model with an event-horizon scheduler.
 
-:class:`CoreModel` is both the vanilla in-order baseline *and* the
-substrate the latency-tolerant models (Runahead, Multipass, SLTP, iCFP)
-subclass.  Per cycle it runs four phases::
+:class:`CoreModel` is the substrate every machine model (in-order,
+Runahead, Multipass, SLTP, iCFP) subclasses: state, fetch, the
+in-order issue rules, commit, and the event-horizon leap.  Each model
+family owns exactly one per-cycle body, its ``step_cycle``, which does
+four things in one frame::
 
-    begin_cycle()   # miss returns, mode transitions (subclass hook)
-    do_issue()      # in-order issue of up to `width` instructions
-    do_fetch()      # refill the fetch queue through the I$ + predictor
-    drain + end_cycle()
+    1. miss returns and mode transitions
+    2. in-order issue of up to ``width`` instructions
+    3. fetch (the shared :meth:`CoreModel.do_fetch`)
+    4. store drain and mode-exit checks; leap if nothing moved
 
 The model is execute-driven over a pre-materialised dynamic trace:
 instructions know their operands, addresses, and branch outcomes, so
@@ -36,7 +38,7 @@ fetch timestamps) are bit-identical to a cycle-by-cycle simulation —
 see ``tests/engine/test_idle_skip.py`` and the golden fixtures in
 ``tests/engine/test_golden_regression.py``.
 
-The per-cycle phases index the trace's flat :class:`~repro.functional.
+The per-cycle bodies index the trace's flat :class:`~repro.functional.
 trace.TraceHot` arrays (operands, port kinds, execute latencies, miss
 addresses) rather than chasing per-object attributes; the arrays are
 built once per trace and shared by every model that replays it.
@@ -56,7 +58,6 @@ from ..pipeline.config import MachineConfig
 from ..pipeline.resources import PortSet
 from ..pipeline.stats import CoreStats, PhaseStats
 from ..pipeline.store_queue import StoreQueue
-from .batch import LaneParams
 from .result import SimResult
 
 #: try_issue outcomes.
@@ -80,7 +81,10 @@ class SimulationDiverged(RuntimeError):
 
 
 class CoreModel:
-    """Vanilla 2-way superscalar in-order pipeline (the paper's baseline)."""
+    """2-way superscalar in-order pipeline state and issue rules.
+
+    Subclasses supply the per-cycle body, ``step_cycle``.
+    """
 
     name = "in-order"
 
@@ -90,29 +94,17 @@ class CoreModel:
         config: MachineConfig | None = None,
         hierarchy: MemoryHierarchy | None = None,
         predictor: BranchPredictor | None = None,
-        lane_params: LaneParams | None = None,
-        lane: int = 0,
         leap: bool | None = None,
     ) -> None:
         self.trace = trace
-        self.config = config if config is not None else MachineConfig.hpca09()
+        self.config = cfg = (config if config is not None
+                             else MachineConfig.hpca09())
         self.hierarchy = (
             hierarchy if hierarchy is not None
-            else MemoryHierarchy(self.config.hierarchy)
+            else MemoryHierarchy(cfg.hierarchy)
         )
         self.predictor = predictor if predictor is not None else BranchPredictor()
         self.stats = CoreStats()
-
-        # Config-dependent constants are indexed out of a LaneParams
-        # structure-of-arrays table rather than closed over: a scalar
-        # core owns a one-lane table, a batched core shares its batch's
-        # table and reads its own lane.  ``int()`` keeps numpy-backed
-        # columns from leaking int64 scalars into cycle arithmetic.
-        if lane_params is None:
-            lane_params = LaneParams.of(self.config)
-            lane = 0
-        self.lane_params = lane_params
-        self.lane = lane
 
         self.cycle = 0
         self.reg_ready = [0] * NUM_REGS
@@ -122,29 +114,31 @@ class CoreModel:
         self.fetch_resume_cycle = 0
         self._ifetch_ready = 0
         self._last_fetch_line = -1
-        self.ports = PortSet(int(lane_params.int_ports[lane]),
-                             int(lane_params.mem_ports[lane]))
-        self.store_queue = StoreQueue(
-            int(lane_params.store_buffer_entries[lane]))
+        self.ports = PortSet(cfg.int_ports, cfg.mem_ports)
+        self.store_queue = StoreQueue(cfg.store_buffer_entries)
         self.committed_memory: dict[int, object] = {}
         self.last_completion = 0
         self.returned_mshrs = []
         self._progress = False
 
-        # Reference mode: ``leap=False`` (or ``REPRO_NO_LEAP=1`` in the
-        # environment) disables the event-horizon leap entirely, making
-        # this core a supported cycle-by-cycle differential baseline —
-        # the engine steps every stall cycle individually and must
-        # produce bit-identical results (see tests/engine/
-        # test_idle_skip.py and `make leap-audit`).
+        # Reference mode: ``leap=False`` (or a truthy ``REPRO_NO_LEAP``
+        # in the environment, parsed like ``REPRO_STORE``) disables the
+        # event-horizon leap entirely, making this core a supported
+        # cycle-by-cycle differential baseline — the engine steps every
+        # stall cycle individually and must produce bit-identical
+        # results (see tests/engine/test_idle_skip.py and
+        # `make leap-audit`).
         if leap is None:
-            leap = os.environ.get("REPRO_NO_LEAP", "") not in ("1", "true", "yes")
+            # Local import: repro.exec drives its jobs through cores.
+            from ..exec.store import _FALSEY
+
+            flag = os.environ.get("REPRO_NO_LEAP", "").strip().lower()
+            leap = not flag or flag in _FALSEY
         self._leap = leap
 
-        # Hot-loop bindings: flat per-trace arrays plus the per-lane
-        # config scalars the per-cycle phases touch, hoisted out of the
-        # object graph once per simulation.
-        cfg = self.config
+        # Hot-loop bindings: flat per-trace arrays plus the config
+        # scalars the per-cycle body touches, hoisted out of the object
+        # graph once per simulation.
         hot = trace.hot
         self._insts = trace.insts
         self._trace_len = len(trace.insts)
@@ -156,14 +150,14 @@ class CoreModel:
         self._dst = hot.dst
         self._exec_done = hot.exec_done
         self._port_int = hot.port_int
-        self._width = int(lane_params.width[lane])
-        self._fq_depth = int(lane_params.fetch_queue_depth[lane])
-        self._frontend_depth = int(lane_params.frontend_depth[lane])
-        self._l1i_line_bytes = int(lane_params.l1i_line_bytes[lane])
+        self._width = cfg.width
+        self._fq_depth = cfg.fetch_queue_depth
+        self._frontend_depth = cfg.frontend_depth
+        self._l1i_line_bytes = cfg.hierarchy.l1i.line_bytes
         self._iline = hot.iline(self._l1i_line_bytes)
-        self._l1d_hit_latency = int(lane_params.l1d_hit_latency[lane])
-        self._l2_hit_latency = int(lane_params.l2_hit_latency[lane])
-        self._max_cycles = int(lane_params.max_cycles[lane])
+        self._l1d_hit_latency = cfg.hierarchy.l1d.hit_latency
+        self._l2_hit_latency = cfg.hierarchy.l2.hit_latency
+        self._max_cycles = cfg.max_cycles
 
         # Phase attribution (observation only).  Multi-region programs
         # get live per-commit bucketing — one flat-array lookup guarded
@@ -307,19 +301,6 @@ class CoreModel:
     # ==================================================================
     def run(self) -> SimResult:
         """Simulate to completion and return the result."""
-        # The limit is past the divergence guard, so a scalar run either
-        # completes or raises — it never yields at the boundary.
-        self.run_until(self._max_cycles + 2)
-        return self.finalize()
-
-    def run_until(self, limit: int) -> bool:
-        """Advance until done or ``cycle >= limit``; True iff done.
-
-        The batch wavefront's entry point: a lane runs its own event
-        horizons (leaps included) inside the slice and simply yields at
-        the boundary, so callers interleave lanes without perturbing any
-        lane's cycle-by-cycle behaviour.
-        """
         max_cycles = self._max_cycles
         step_cycle = self.step_cycle
         done = self.done
@@ -328,19 +309,17 @@ class CoreModel:
         # model's done() — pre-filtering it keeps the completion check
         # out of the per-cycle loop until the run is actually draining.
         while not (self.cursor >= trace_len and done()):
-            if self.cycle >= limit:
-                return False
             if self.cycle > max_cycles:
                 raise SimulationDiverged(
                     f"{self.name}: exceeded {max_cycles} cycles "
                     f"({self.stats.instructions}/{trace_len} committed)"
                 )
             step_cycle()
-        return True
+        return self.finalize()
 
     def finalize(self) -> SimResult:
-        """Seal aggregate stats and package the result (after run_until
-        reports completion)."""
+        """Seal aggregate stats and package the result (once the run
+        is done)."""
         self.stats.cycles = max(self.cycle, self.last_completion)
         self.stats.branch_mispredicts = self.predictor.mispredictions
         if self._obs_probe is not None:
@@ -373,21 +352,6 @@ class CoreModel:
             registry.histogram(f"engine.commit_kipc.{self.name}").observe(
                 1000.0 * self.stats.instructions / self.stats.cycles)
 
-    def step_cycle(self) -> None:
-        """Advance the simulation by one cycle (tests drive this directly
-        to observe or perturb mid-flight state)."""
-        self.cycle += 1
-        self._progress = False
-        self.begin_cycle()
-        self.do_issue()
-        self.do_fetch()
-        if self.store_queue.drain_step(self.hierarchy, self.cycle,
-                                       self.committed_memory):
-            self._progress = True
-        self.end_cycle()
-        if not self._progress:
-            self._leap_to_horizon()
-
     def done(self) -> bool:
         return (
             self.cursor >= self._trace_len
@@ -397,36 +361,8 @@ class CoreModel:
         )
 
     # ==================================================================
-    # per-cycle phases (subclass hooks)
+    # fetch (shared by every model's step_cycle)
     # ==================================================================
-    def begin_cycle(self) -> None:
-        """Default: collect miss-return events for this cycle."""
-        self.returned_mshrs = self.hierarchy.retire_mshrs(self.cycle)
-
-    def end_cycle(self) -> None:
-        """Subclass hook (mode-exit checks and the like)."""
-
-    def do_issue(self) -> None:
-        """In-order issue of up to ``width`` instructions."""
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        slots = self._width
-        cycle = self.cycle
-        try_issue = self.try_issue
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            if try_issue(entry) is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
     def do_fetch(self) -> None:
         """Fetch up to ``width`` instructions through the I$."""
         cycle = self.cycle
@@ -548,19 +484,6 @@ class CoreModel:
             ports.mem_free -= 1
         self.commit(dyn, entry, completion)
         return ISSUED
-
-    def execute(self, dyn: DynInst, entry: FetchEntry) -> int | None:
-        """Compute the completion cycle; None on a structural stall.
-
-        Kept as a standalone hook for direct driving in tests; the hot
-        issue path dispatches on the flat ``kind`` array instead.
-        """
-        kind = self._kind[dyn.index]
-        if kind == KIND_LOAD:
-            return self.execute_load(dyn)
-        if kind == KIND_STORE:
-            return self.execute_store(dyn)
-        return self.cycle + self._exec_done[dyn.index]
 
     def execute_load(self, dyn: DynInst) -> int | None:
         hit = self.store_queue.forward(dyn.addr)
@@ -774,23 +697,7 @@ class CoreModel:
                 probe["leaps"] += 1
                 probe["leapt"] += best - 1 - cycle
                 probe["sources"][source] = probe["sources"].get(source, 0) + 1
-            self.cycle = best - 1  # the loop increments before phases
-
-    def leap_horizon(self) -> int:
-        """Earliest future cycle this core can act (public probe).
-
-        The batch wavefront consults this to raise slice boundaries
-        jointly: after a completed :meth:`step_cycle` any pending leap
-        is already folded into the clock, so a progressing (or freshly
-        leapt) lane answers ``cycle + 1``, while an idle lane whose leap
-        is disabled or capped reports its true scan horizon.
-        """
-        if self._progress:
-            return self.cycle + 1
-        best, _source = self._scan_horizons(self.cycle)
-        if best > self.cycle + 1:
-            return best
-        return self.cycle + 1
+            self.cycle = best - 1  # step_cycle increments first
 
     def next_event_cycle(self) -> int | None:
         """Subclass horizon hook: earliest future cycle the subclass's

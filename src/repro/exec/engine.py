@@ -87,28 +87,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def batch_width() -> int:
-    """Lane cap for batched execution (``REPRO_BATCH`` / ``--batch``).
-
-    Unset or ``1`` → scalar path (the default escape hatch: every job
-    is its own task, exactly the pre-batch engine).  ``0`` or ``auto``
-    → unbounded (one batch per compatible group).  ``N >= 2`` → at most
-    N lanes per batch.
-    """
-    env = os.environ.get("REPRO_BATCH")
-    if not env:
-        return 1
-    if env.strip().lower() == "auto":
-        return 0
-    try:
-        width = int(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH must be an integer or 'auto', got {env!r}"
-        ) from None
-    return max(0, width)
-
-
 def fabric_workers() -> int:
     """``REPRO_FABRIC_WORKERS``: lease-fabric worker count (0 = off).
 
@@ -238,13 +216,11 @@ def _invoke(fn, arg, key: str, attempt: int, delay: float):
 
 
 class _Task:
-    """One schedulable unit: a SimJob, a BatchJob, or a map item."""
+    """One schedulable unit: a SimJob or a map item."""
 
-    __slots__ = ("index", "fn", "arg", "key", "label", "attempts", "seq",
-                 "members")
+    __slots__ = ("index", "fn", "arg", "key", "label", "attempts", "seq")
 
-    def __init__(self, index: int, fn, arg, key: str, label: str,
-                 members: tuple | None = None) -> None:
+    def __init__(self, index: int, fn, arg, key: str, label: str) -> None:
         self.index = index
         self.fn = fn
         self.arg = arg
@@ -252,9 +228,6 @@ class _Task:
         self.label = label    # human identity for error messages
         self.attempts = 0     # executions started in the current regime
         self.seq = 0          # executions started ever (fault re-roll index)
-        #: Member-job fingerprints when this task is a BatchJob (results
-        #: and failures split back to them); None for a plain job.
-        self.members = members
 
 
 def _annotate(exc: BaseException, task: _Task) -> BaseException:
@@ -273,13 +246,8 @@ def _fail(task: _Task, exc: BaseException, kind: str,
           failures: dict[int, BaseException],
           report: CampaignReport) -> None:
     failures[task.index] = _annotate(exc, task)
-    # A failed batch fails every member job: store/report identity stays
-    # per-job even though the attempt was shared.
-    for fingerprint in (task.members if task.members is not None
-                        else (task.key,)):
-        report.failures.append(JobFailure(
-            label=task.label, fingerprint=fingerprint, kind=kind,
-            error=str(exc)))
+    report.failures.append(JobFailure(
+        label=task.label, fingerprint=task.key, kind=kind, error=str(exc)))
 
 
 def _retry_or_fail(task: _Task, exc: BaseException, policy: RetryPolicy,
@@ -385,11 +353,7 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
         task.attempts += 1
         task.seq += 1
         report.attempts += 1
-        # A batch is N simulations in one attempt; its wall-clock budget
-        # scales with the lane count so batching never trips a timeout
-        # a scalar campaign would have survived.
-        lanes = len(task.members) if task.members is not None else 1
-        deadline = (time.monotonic() + policy.job_timeout * lanes
+        deadline = (time.monotonic() + policy.job_timeout
                     if policy.job_timeout else None)
         try:
             future = pool.submit(_invoke, task.fn, task.arg, task.key,
@@ -484,11 +448,7 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
 
 def _job_label(job) -> str:
     workload = getattr(job.workload, "name", job.workload)
-    label = f"{job.model} on {workload}"
-    lanes = getattr(job, "jobs", None)
-    if lanes is not None:  # a BatchJob: one label for the whole vector
-        label += f" [batch of {len(lanes)}]"
-    return label
+    return f"{job.model} on {workload}"
 
 
 def _prewarm_traces(jobs) -> dict:
@@ -577,15 +537,6 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     ``memo=False`` bypasses both cross-call tiers entirely (benchmarks
     measuring raw throughput use it) but still dedupes within the batch.
 
-    With ``REPRO_BATCH`` (``--batch``) set to anything but 1, fresh
-    jobs that share (model, workload, instructions) are grouped into
-    :class:`~repro.engine.batch.BatchJob` lane-vectors that advance all
-    their configs over one shared trace.  Batching is pure scheduling:
-    results are byte-identical to the scalar path, and memoization,
-    store flushes, and failure reporting stay keyed by each member
-    job's own fingerprint (a faulted batch retries whole per the
-    :class:`RetryPolicy`, then fails every member if exhausted).
-
     ``store`` selects the disk tier: ``None`` resolves it from the
     environment (``REPRO_STORE`` / ``REPRO_CACHE_DIR``; off when
     ``memo=False``), ``False`` disables it, and an explicit
@@ -612,7 +563,6 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     uses the fabric's default count, and ``False`` forces the
     in-process path (the fabric's own degradation escape hatch).
     """
-    from ..engine.batch import plan_batches
     from .store import resolve_store
 
     # One env read per campaign entry: hot paths below only test the
@@ -655,11 +605,12 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     corrupt_before = disk.corrupt if disk is not None else 0
     store_unwritable = False
 
-    def flush_one(key: str, result) -> None:
+    def record(task: _Task, result) -> None:
         # Incremental durability: the cell is memoized and flushed to
         # disk the moment it completes — a crash after this point can
         # never cost this simulation again.
         nonlocal store_unwritable
+        key = task.key
         report.computed += 1
         if memo:
             RESULT_CACHE.put(key, result)
@@ -670,24 +621,11 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
         for i in positions[key]:
             results[i] = result
 
-    def record(task: _Task, result) -> None:
-        if task.members is None:
-            flush_one(task.key, result)
-            return
-        # A batch returns one SimResult per lane, in member order; each
-        # flushes under its own job fingerprint — memo/store identity is
-        # untouched by how the work was scheduled.
-        for fingerprint, lane_result in zip(task.members, result):
-            flush_one(fingerprint, lane_result)
-
     try:
         if fresh:
-            units = plan_batches(fresh, batch_width())
-            tasks = [
-                _Task(index=i, fn=_run_job, arg=unit, key=unit.fingerprint,
-                      label=_job_label(unit),
-                      members=getattr(unit, "member_fingerprints", None))
-                for i, unit in enumerate(units)]
+            tasks = [_Task(index=i, fn=_run_job, arg=job,
+                           key=job.fingerprint, label=_job_label(job))
+                     for i, job in enumerate(fresh)]
             if workers > 1 and len(fresh) > 1:
                 trace_failures = _prewarm_traces(fresh)
                 runnable = []

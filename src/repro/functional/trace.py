@@ -8,8 +8,8 @@ addresses) so that iCFP's merge and forwarding machinery can be checked
 for architectural correctness, not just timed.
 
 For the timing hot loops the trace also exposes :class:`TraceHot`: the
-per-instruction attributes consulted by ``do_issue``/``try_issue``
-flattened into parallel lists indexed by dynamic instruction number.
+per-instruction attributes each model's issue path consults, flattened
+into parallel lists indexed by dynamic instruction number.
 The arrays are built once per trace and cached on it, so every model,
 sweep value, and rally pass that replays the (engine-cached) trace
 shares one set of flat lists instead of chasing Python objects.

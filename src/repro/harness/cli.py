@@ -83,11 +83,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-j", "--jobs", type=int, default=None,
                         help="simulation worker processes (default: "
                              "REPRO_JOBS, then all CPUs; 1 = sequential)")
-    parser.add_argument("--batch", type=str, default=None, metavar="WIDTH",
-                        help="batched execution lane cap: same-trace jobs "
-                             "advance together over one trace pass "
-                             "(0/auto = unbounded; default: REPRO_BATCH, "
-                             "1 = scalar)")
     parser.add_argument("--store", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="use the on-disk result store under "
@@ -124,8 +119,6 @@ def _apply_jobs(args) -> None:
     # explicitly.
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
-    if getattr(args, "batch", None) is not None:
-        os.environ["REPRO_BATCH"] = args.batch
     if getattr(args, "store", None) is not None:
         os.environ["REPRO_STORE"] = "1" if args.store else "0"
     if getattr(args, "retries", None) is not None:

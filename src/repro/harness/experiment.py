@@ -77,33 +77,22 @@ class ExperimentConfig:
         return dataclasses.replace(cfg, warm_dcache=self.warm)
 
 
-def make_core(model: str, trace: Trace, config: ExperimentConfig,
-              lane_params=None, lane: int = 0):
-    """Instantiate a machine model on ``trace``.
-
-    ``lane_params``/``lane`` bind the core to one lane of a shared
-    :class:`~repro.engine.batch.LaneParams` table (the batched backend);
-    scalar callers omit them and get a private one-lane table.
-    """
+def make_core(model: str, trace: Trace, config: ExperimentConfig):
+    """Instantiate a machine model on ``trace``."""
     machine = config.machine_config()
     if model == "in-order":
-        return InOrderCore(trace, config=machine,
-                           lane_params=lane_params, lane=lane)
+        return InOrderCore(trace, config=machine)
     if model == "runahead":
         return RunaheadCore(trace, config=machine,
-                            advance_on=config.runahead_advance_on,
-                            lane_params=lane_params, lane=lane)
+                            advance_on=config.runahead_advance_on)
     if model == "multipass":
         return MultipassCore(trace, config=machine,
-                             advance_on=config.multipass_advance_on,
-                             lane_params=lane_params, lane=lane)
+                             advance_on=config.multipass_advance_on)
     if model == "sltp":
         return SLTPCore(trace, config=machine,
-                        advance_on=config.sltp_advance_on,
-                        lane_params=lane_params, lane=lane)
+                        advance_on=config.sltp_advance_on)
     if model == "icfp":
-        return ICFPCore(trace, config=machine, features=config.icfp_features,
-                        lane_params=lane_params, lane=lane)
+        return ICFPCore(trace, config=machine, features=config.icfp_features)
     raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
 
 

@@ -210,13 +210,18 @@ def deactivate() -> None:
 def refresh() -> Tracer | None:
     """Re-read ``REPRO_TRACE`` (campaign/worker entry points call this).
 
-    Truthy values ("1", a path...) activate; unset/empty/"0" deactivate.
-    A value that is a path (contains a separator or names an existing
-    directory) selects the obs directory directly.
+    Truthy values ("1", a path...) activate; unset/empty and the
+    ``REPRO_STORE`` falsey words ("0", "false", "no", "off", in any case
+    and with surrounding blanks) deactivate.  A value that is a path
+    (contains a separator or names an existing directory) selects the
+    obs directory directly.
     """
+    # Local import: repro.exec.store imports this module.
+    from ..exec.store import _FALSEY
+
     global _ENV_SEEN
     env = os.environ.get("REPRO_TRACE") or None
-    if env in ("0", "false", "no", "off"):
+    if env is not None and env.strip().lower() in _FALSEY:
         env = None
     if env == _ENV_SEEN:
         return TRACER

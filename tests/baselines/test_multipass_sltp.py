@@ -1,10 +1,16 @@
 """Integration tests for Multipass and SLTP."""
 
+import pytest
+
 from repro.baselines import InOrderCore, MultipassCore, RunaheadCore, SLTPCore
+from repro.baselines.runahead import NORMAL, RUNAHEAD
 from repro.core.icfp import ICFPCore, ICFPFeatures
+from repro.engine import ISSUED
+from repro.exec.store import result_to_payload
 from repro.functional import run_program
 from repro.isa import Assembler, R, assemble_text
 from repro.pipeline import MachineConfig
+from repro.workloads import trace_by_name
 
 A1 = 0x10000
 
@@ -58,6 +64,68 @@ def test_multipass_beats_inorder_on_independent_misses():
     base = run_core(InOrderCore, prog)
     mp = run_core(MultipassCore, prog)
     assert mp.cycles < base.cycles
+
+
+@pytest.mark.parametrize("kernel", ["mcf_like", "art_like", "gzip_like"])
+def test_multipass_without_result_buffer_is_runahead(kernel):
+    """Multipass runs Runahead's per-cycle body and adds only result
+    reuse: with no result-buffer entries it must match Runahead under
+    the same advance policy on every statistic."""
+    trace = trace_by_name(kernel, 800)
+    mp = MultipassCore(trace, config=MachineConfig.hpca09(),
+                       result_buffer_entries=0)
+    ra = RunaheadCore(trace, config=MachineConfig.hpca09(),
+                      advance_on=mp.advance_on)
+    mp_payload = result_to_payload(mp.run())
+    ra_payload = result_to_payload(ra.run())
+    assert mp.result_reuses == 0
+    assert mp_payload.pop("model") == "multipass"
+    assert ra_payload.pop("model") == "runahead"
+    assert mp_payload == ra_payload
+
+
+@pytest.mark.parametrize("mode", [NORMAL, RUNAHEAD])
+def test_multipass_reuses_results_in_both_modes(mode):
+    """Both mode-bound issue methods send a head with a saved result to
+    ``_issue_reused``: the architectural replay commits it, and a later
+    advance pass over the same region re-uses it too."""
+    core = MultipassCore(trace_by_name("mcf_like", 800),
+                         config=MachineConfig.hpca09())
+    issue_reused = core._issue_reused
+    reused = {NORMAL: 0, RUNAHEAD: 0}
+
+    def counting_issue_reused(entry):
+        outcome = issue_reused(entry)
+        if outcome is ISSUED:
+            reused[core.mode] += 1
+        return outcome
+
+    core._issue_reused = counting_issue_reused
+    core.run()
+    assert sum(reused.values()) == core.result_reuses
+    assert reused[mode] > 0
+
+
+#: model class -> the class whose ``step_cycle`` it runs.  Class-level
+#: probes (benchmarks/perf) wrap ``vars(owner)["step_cycle"]`` of the
+#: four owners, so each must hold the attribute itself.
+STEP_OWNERS = {
+    InOrderCore: InOrderCore,
+    RunaheadCore: RunaheadCore,
+    MultipassCore: MultipassCore,
+    SLTPCore: ICFPCore,
+    ICFPCore: ICFPCore,
+}
+
+
+@pytest.mark.parametrize("cls", list(STEP_OWNERS), ids=lambda c: c.name)
+def test_each_model_runs_one_owned_step_cycle(cls):
+    owner = STEP_OWNERS[cls]
+    assert "step_cycle" in vars(owner)
+    assert cls.step_cycle is vars(owner)["step_cycle"]
+    if cls is MultipassCore:
+        # One body for the runahead family, not a copy.
+        assert vars(cls)["step_cycle"] is vars(RunaheadCore)["step_cycle"]
 
 
 # ----------------------------------------------------------------------

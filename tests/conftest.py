@@ -24,9 +24,6 @@ def hermetic_result_store(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-    # Batching is byte-identical by contract, but tests assert exact
-    # scheduling counters (attempts, computed) — keep it opt-in per test.
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     # The lease fabric is likewise opt-in: a developer's fabric/TTL
     # settings must not reroute (or retime) test campaigns.
     monkeypatch.delenv("REPRO_FABRIC_WORKERS", raising=False)

@@ -45,7 +45,7 @@ def test_tiny_slice_buffer_terminates_on_chase_kernel():
 
 def test_mt_rally_capture_race_terminates():
     """Entries captured mid-pass with the pass's own bit must still be
-    swept up (the stale-bit re-queue in begin_cycle)."""
+    swept up (the stale-bit re-queue in ICFPCore.step_cycle)."""
     core = run_kernel("twolf_like", ICFPFeatures(validate=True),
                       instructions=3000)
     assert not core.validate_final_state()

@@ -1,5 +1,7 @@
 """Unit tests for the base in-order timing model."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.inorder import InOrderCore
@@ -213,12 +215,84 @@ def test_branch_mispredict_costs_cycles():
 
 
 def test_simulation_diverged_guard():
-    import dataclasses
-
     cfg = dataclasses.replace(quick_config(), max_cycles=10)
     trace = run_program(assemble_text("\n".join(["nop"] * 100 + ["halt"])))
     with pytest.raises(SimulationDiverged):
         InOrderCore(trace, config=cfg).run()
+
+
+@pytest.mark.parametrize("leap", [True, False], ids=["leap", "stepped"])
+def test_diverged_guard_is_not_leapt_over(leap):
+    """The one idle window here (a cold DRAM miss) is a single leap of
+    hundreds of cycles.  A limit inside that window must still raise in
+    both engines; a leap past it never yields a truncated result."""
+    trace = run_program(assemble_text(
+        """
+        li r1, 0x80000
+        ld r2, r1, 0
+        addi r3, r2, 1
+        halt
+        """
+    ))
+    full = InOrderCore(trace, config=quick_config(), leap=leap).run()
+    assert full.cycles > 200
+    short = dataclasses.replace(quick_config(), max_cycles=50)
+    with pytest.raises(SimulationDiverged):
+        InOrderCore(trace, config=short, leap=leap).run()
+    exact = dataclasses.replace(quick_config(), max_cycles=full.cycles)
+    fits = InOrderCore(trace, config=exact, leap=leap).run()
+    assert (fits.cycles, fits.instructions) == (full.cycles, full.instructions)
+
+
+def _with_cache(level, **over):
+    """The Table 1 config with one cache level's parameters changed."""
+    cfg = quick_config()
+    hier = cfg.hierarchy
+    cache = dataclasses.replace(getattr(hier, level), **over)
+    return dataclasses.replace(
+        cfg, hierarchy=dataclasses.replace(hier, **{level: cache}))
+
+
+#: Every config constant the per-cycle body reads from the core rather
+#: than the config: (config with that constant moved off its Table 1
+#: value, reader of the core's copy, the moved value).
+CORE_CONSTANTS = {
+    "width": (dataclasses.replace(quick_config(), width=1),
+              lambda core: core._width, 1),
+    "int_ports": (dataclasses.replace(quick_config(), int_ports=1),
+                  lambda core: core.ports.int_capacity, 1),
+    "mem_ports": (dataclasses.replace(quick_config(), mem_ports=2),
+                  lambda core: core.ports.mem_capacity, 2),
+    "store_buffer_entries": (
+        dataclasses.replace(quick_config(), store_buffer_entries=4),
+        lambda core: core.store_queue.capacity, 4),
+    "fetch_queue_depth": (
+        dataclasses.replace(quick_config(), fetch_queue_depth=6),
+        lambda core: core._fq_depth, 6),
+    "frontend_depth": (dataclasses.replace(quick_config(), frontend_depth=9),
+                       lambda core: core._frontend_depth, 9),
+    "max_cycles": (dataclasses.replace(quick_config(), max_cycles=12345),
+                   lambda core: core._max_cycles, 12345),
+    "l1i.line_bytes": (_with_cache("l1i", line_bytes=32),
+                       lambda core: core._l1i_line_bytes, 32),
+    "l1d.hit_latency": (_with_cache("l1d", hit_latency=5),
+                        lambda core: core._l1d_hit_latency, 5),
+    "l2.hit_latency": (MachineConfig.hpca09(l2_hit_latency=300),
+                       lambda core: core._l2_hit_latency, 300),
+}
+
+
+@pytest.mark.parametrize("name", list(CORE_CONSTANTS))
+def test_core_constants_follow_machine_config(name):
+    """``CoreModel.__init__`` copies each constant out of the
+    ``MachineConfig`` it is given, so one moved field reaches the core
+    on its own."""
+    config, read, value = CORE_CONSTANTS[name]
+    trace = run_program(assemble_text("halt"))
+    assert read(InOrderCore(trace, config=quick_config())) != value
+    core = InOrderCore(trace, config=config)
+    assert read(core) == value
+    assert core.run().instructions == 1
 
 
 def test_stall_breakdown_accumulates():

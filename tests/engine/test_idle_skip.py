@@ -90,14 +90,21 @@ def test_idle_skip_is_timing_neutral(cls, kwargs):
 
 def test_reference_mode_env_var(monkeypatch):
     """``REPRO_NO_LEAP=1`` forces reference mode without code changes
-    (the `repro run --no-leap` path sets exactly this)."""
-    monkeypatch.setenv("REPRO_NO_LEAP", "1")
+    (the `repro run --no-leap` path sets exactly this).  The value is
+    parsed like ``REPRO_STORE``: case and surrounding blanks are
+    ignored, so a "reference" run can never silently keep leaping."""
     trace = run_program(next(programs()))
-    core = InOrderCore(trace, config=MachineConfig.hpca09())
-    assert core._leap is False
+    for value in ("1", "TRUE", " on "):
+        monkeypatch.setenv("REPRO_NO_LEAP", value)
+        core = InOrderCore(trace, config=MachineConfig.hpca09())
+        assert core._leap is False, repr(value)
     # An explicit constructor argument still wins over the environment.
-    monkeypatch.setenv("REPRO_NO_LEAP", "0")
-    assert InOrderCore(trace, config=MachineConfig.hpca09())._leap is True
+    assert InOrderCore(trace, config=MachineConfig.hpca09(),
+                       leap=True)._leap is True
+    for value in ("0", "Off", "FALSE", ""):
+        monkeypatch.setenv("REPRO_NO_LEAP", value)
+        core = InOrderCore(trace, config=MachineConfig.hpca09())
+        assert core._leap is True, repr(value)
     assert InOrderCore(trace, config=MachineConfig.hpca09(),
                        leap=False)._leap is False
 

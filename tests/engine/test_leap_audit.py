@@ -10,7 +10,7 @@ cycle-by-cycle reference engine (``leap=False``).
 
 It also pins the four cells that historically diverged (the old
 ``KNOWN_DIVERGENT`` set of tests/engine/test_idle_skip.py) through the
-batched backend at several widths: those cells exercised exactly the
+job engine at two L2 latencies: those cells exercised exactly the
 wake-ups the horizon set used to miss (runahead exit edges, multipass
 re-scan triggers, iCFP's stale-rally re-queue and fallback-mode flips),
 so they are the first place a future regression would surface.
@@ -64,7 +64,7 @@ def test_leap_equals_stepped_everywhere(kernel, budget):
 
 
 # ----------------------------------------------------------------------
-# formerly-divergent cells through the batched backend
+# formerly-divergent cells through the job engine
 # ----------------------------------------------------------------------
 #: The exact cells the old KNOWN_DIVERGENT set recorded, as (model name,
 #: kernel) for the job engine.
@@ -75,24 +75,20 @@ FORMERLY_DIVERGENT = (
     ("icfp", "equake_like"),
 )
 
-BATCH_INSTRUCTIONS = 800
+FORMERLY_DIVERGENT_INSTRUCTIONS = 800
 
 
 def _formerly_divergent_jobs():
     from repro.harness.experiment import ExperimentConfig
 
-    # Two lanes per cell so every cell actually batches: same (model,
-    # workload, instructions), different L2 latency.
+    # Both L2 latencies: the 20-cycle default of the sweep above and a
+    # 300-cycle point it never runs, which stretches every stall window.
     return [SimJob(model, kernel,
-                   ExperimentConfig(instructions=BATCH_INSTRUCTIONS,
-                                    l2_hit_latency=latency))
+                   ExperimentConfig(
+                       instructions=FORMERLY_DIVERGENT_INSTRUCTIONS,
+                       l2_hit_latency=latency))
             for model, kernel in FORMERLY_DIVERGENT
             for latency in (20, 300)]
-
-
-def _payloads(results):
-    return [json.dumps(result_to_payload(r), sort_keys=True)
-            for r in results]
 
 
 def _timing_payloads(results):
@@ -111,21 +107,14 @@ def _timing_payloads(results):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("width", [2, 0])
-def test_formerly_divergent_cells_batched(width, monkeypatch):
-    """The once-divergent cells, batched at width 2 and unbounded, must
-    be byte-identical to the scalar leap engine *and* to the scalar
-    reference engine — batching and leaping both pure scheduling."""
+def test_formerly_divergent_cells(monkeypatch):
+    """The once-divergent cells, run through ``run_jobs``, must match the
+    reference engine (``REPRO_NO_LEAP=1``) on every timing-visible
+    statistic — leaping is pure scheduling."""
     jobs = _formerly_divergent_jobs()
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_NO_LEAP", raising=False)
-    scalar = run_jobs(jobs, workers=1, memo=False, store=False)
+    leapt = run_jobs(jobs, workers=1, memo=False, store=False)
 
     monkeypatch.setenv("REPRO_NO_LEAP", "1")
     reference = run_jobs(jobs, workers=1, memo=False, store=False)
-    monkeypatch.delenv("REPRO_NO_LEAP")
-    assert _timing_payloads(scalar) == _timing_payloads(reference)
-
-    monkeypatch.setenv("REPRO_BATCH", str(width))
-    batched = run_jobs(jobs, workers=1, memo=False, store=False)
-    assert _payloads(batched) == _payloads(scalar)
+    assert _timing_payloads(leapt) == _timing_payloads(reference)

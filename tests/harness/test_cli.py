@@ -203,3 +203,34 @@ def test_sigint_mid_campaign_exits_130_with_a_report(tmp_path):
     text = err.decode()
     assert "campaign: interrupted" in text
     assert "Traceback" not in text
+
+
+#: Run in a fresh interpreter: the modules ``import repro.harness.cli``
+#: adds on top of whatever interpreter start-up (site hooks included)
+#: already loaded.
+_FOOTPRINT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import repro.harness.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_pulls_in_only_stdlib_and_repro():
+    """Importing the CLI loads nothing from outside the standard library
+    and this package: no third-party import rides along on every run."""
+    import json
+    import subprocess
+    import sys as _sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([_sys.executable, "-c", _FOOTPRINT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    added = json.loads(out)
+    assert any(name.startswith("repro.") for name in added)
+    foreign = [name for name in added
+               if name.split(".")[0] not in _sys.stdlib_module_names
+               and name.split(".")[0] != "repro"
+               and name != "__mp_main__"]  # multiprocessing's alias
+    assert foreign == []

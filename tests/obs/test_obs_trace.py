@@ -69,13 +69,18 @@ def test_instant_event_record(tmp_path):
 
 
 def test_refresh_env_gating(tmp_path, monkeypatch):
-    # Unset / falsy values keep (or turn) tracing off.
-    for value in (None, "0", "false", "no", "off", ""):
+    # Unset / falsy values keep (or turn) tracing off; falsy words are
+    # parsed like REPRO_STORE's, ignoring case and surrounding blanks.
+    for value in (None, "0", "false", "no", "off", "", "FALSE", "Off"):
         if value is None:
             monkeypatch.delenv("REPRO_TRACE", raising=False)
         else:
             monkeypatch.setenv("REPRO_TRACE", value)
-        assert obs_trace.refresh() is None
+        assert obs_trace.refresh() is None, repr(value)
+    # Any other word turns it on.
+    for value in ("TRUE", " on "):
+        monkeypatch.setenv("REPRO_TRACE", value)
+        assert obs_trace.refresh() is not None, repr(value)
     # A path value selects the obs directory directly.
     obs_dir = str(tmp_path / "mylogs")
     monkeypatch.setenv("REPRO_TRACE", obs_dir)
