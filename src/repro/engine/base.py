@@ -39,9 +39,9 @@ see ``tests/engine/test_idle_skip.py`` and the golden fixtures in
 ``tests/engine/test_golden_regression.py``.
 
 The per-cycle bodies index the trace's flat :class:`~repro.functional.
-trace.TraceHot` arrays (operands, port kinds, execute latencies, miss
-addresses) rather than chasing per-object attributes; the arrays are
-built once per trace and shared by every model that replays it.
+trace.TraceHot` arrays (issue kinds, operands, execute latencies, port
+kinds, I$ lines) rather than chasing per-object attributes; the arrays
+are built once per trace and shared by every model that replays it.
 """
 
 from __future__ import annotations
@@ -274,15 +274,19 @@ class CoreModel:
         # Descending insertion leaves the lowest `assoc` lines of every
         # set resident; everything else would be evicted immediately, so
         # skip inserting it at all (pure construction-time optimisation).
+        # The skip counts data *words* per set, not lines, so a set whose
+        # lines hold several words warms fewer than `assoc` lines;
+        # counting lines would change the warmed state and every pinned
+        # result.  `line_addr` / `set_index` are inlined: once per word.
         per_set: dict[int, int] = {}
         assoc = cfg.l2.assoc
-        line_addr = cfg.l2.line_addr
-        set_index_of = cfg.l2.set_index
+        line_bytes = cfg.l2.line_bytes
+        set_mask = cfg.l2.num_sets - 1
         insert = self.hierarchy.l2.insert
         get_count = per_set.get
         for addr in sorted(self.trace.program.data):
-            l2_line = line_addr(addr)
-            set_index = set_index_of(l2_line)
+            l2_line = addr // line_bytes
+            set_index = l2_line & set_mask
             count = get_count(set_index, 0)
             if count >= assoc:
                 continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.program import WORD_BYTES
 from ..isa.registers import FP_BASE, NUM_REGS, ZERO_REG
 
 _MASK64 = (1 << 64) - 1
@@ -29,8 +28,10 @@ def to_signed64(value: int) -> int:
 class ArchState:
     """Registers plus sparse data memory.
 
-    ``regs[0]`` (``r0``) is hardwired to zero: writes are dropped by
-    :meth:`write_reg` and the slot always reads zero.
+    ``regs[0]`` (``r0``) is hardwired to zero: writes are dropped (by
+    :meth:`write_reg` and by the executor, which writes ``regs``
+    directly) and the slot always reads zero.  Word alignment of loads
+    and stores is the executor's check.
     """
 
     regs: list = field(default_factory=lambda: [0] * NUM_REGS)
@@ -41,24 +42,10 @@ class ArchState:
             if self.regs[i] == 0:
                 self.regs[i] = 0.0
 
-    def read_reg(self, reg: int):
-        return self.regs[reg]
-
     def write_reg(self, reg: int, value) -> None:
         if reg == ZERO_REG:
             return
         self.regs[reg] = value
-
-    def read_mem(self, addr: int):
-        """Load the 8-byte word at ``addr`` (0 when never written)."""
-        if addr % WORD_BYTES:
-            raise ValueError(f"unaligned load address: {addr:#x}")
-        return self.memory.get(addr, 0)
-
-    def write_mem(self, addr: int, value) -> None:
-        if addr % WORD_BYTES:
-            raise ValueError(f"unaligned store address: {addr:#x}")
-        self.memory[addr] = value
 
     def copy(self) -> "ArchState":
         return ArchState(regs=list(self.regs), memory=dict(self.memory))

@@ -8,11 +8,14 @@ addresses) so that iCFP's merge and forwarding machinery can be checked
 for architectural correctness, not just timed.
 
 For the timing hot loops the trace also exposes :class:`TraceHot`: the
-per-instruction attributes each model's issue path consults, flattened
-into parallel lists indexed by dynamic instruction number.
-The arrays are built once per trace and cached on it, so every model,
-sweep value, and rally pass that replays the (engine-cached) trace
-shares one set of flat lists instead of chasing Python objects.
+columns the engine's fetch and issue paths read (issue kind, source
+operands, destination, execute latency, port, PC), flattened into
+parallel lists indexed by dynamic instruction number.  Kind, latency
+and port describe the static instruction, so they are derived once per
+PC and gathered, not re-derived per dynamic record.  The arrays are
+built once per trace and cached on it, so every model, sweep value, and
+rally pass that replays the (engine-cached) trace shares one set of
+flat lists instead of chasing Python objects.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ KIND_OTHER = 0
 KIND_LOAD = 1
 KIND_STORE = 2
 
+
+def classify(opclass) -> tuple[bool, bool, bool, bool, bool]:
+    """``(is_load, is_store, is_mem, is_branch, is_control)`` of an op class."""
+    is_load = opclass is OpClass.LOAD
+    is_store = opclass is OpClass.STORE
+    is_branch = opclass is OpClass.BRANCH
+    return (is_load, is_store, is_load or is_store, is_branch,
+            is_branch or opclass is OpClass.JUMP)
 
 
 class DynInst:
@@ -95,14 +106,8 @@ class DynInst:
         self.store_val = None
         self.taken = False
         self.target_pc: int | None = None
-        is_load = opclass is OpClass.LOAD
-        is_store = opclass is OpClass.STORE
-        is_branch = opclass is OpClass.BRANCH
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_mem = is_load or is_store
-        self.is_branch = is_branch
-        self.is_control = is_branch or opclass is OpClass.JUMP
+        (self.is_load, self.is_store, self.is_mem, self.is_branch,
+         self.is_control) = classify(opclass)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = ""
@@ -121,7 +126,6 @@ class TraceHot:
     """
 
     __slots__ = ("kind", "srcs", "dst", "exec_done", "port_int",
-                 "is_control", "is_branch", "taken", "addr", "store_val",
                  "pc", "nsrc", "src0", "src1", "_ilines")
 
     def __init__(self, insts) -> None:
@@ -131,53 +135,35 @@ class TraceHot:
         # module-load time; this runs once per trace.
         from ..pipeline.resources import INT_PORT, port_kind
 
-        n = len(insts)
-        self.kind = kind = [KIND_OTHER] * n
-        self.srcs = srcs = [()] * n
-        self.dst = dst = [None] * n
+        self.pc = pcs = [dyn.pc for dyn in insts]
+        # Issue kind, execute latency and port are properties of the
+        # static instruction (a PC names one): derive each once per PC
+        # from a representative record, then gather per dynamic one.
+        kind_of: dict[int, int] = {}
+        done_of: dict[int, int] = {}
+        port_of: dict[int, bool] = {}
+        for pc, dyn in dict(zip(pcs, insts)).items():
+            kind_of[pc] = (KIND_LOAD if dyn.is_load
+                           else KIND_STORE if dyn.is_store else KIND_OTHER)
+            done_of[pc] = EXEC_LATENCY[dyn.opclass]
+            port_of[pc] = port_kind(dyn.opclass) == INT_PORT
+        self.kind = [kind_of[pc] for pc in pcs]
         #: Execute latency for non-memory ops (memory timing comes from
         #: the hierarchy / store buffers instead).
-        self.exec_done = exec_done = [1] * n
-        self.port_int = port_int = [False] * n
-        self.is_control = is_control = [False] * n
-        self.is_branch = is_branch = [False] * n
-        self.taken = taken = [False] * n
-        self.addr = addr = [None] * n
-        self.store_val = store_val = [None] * n
-        self.pc = pc = [0] * n
+        self.exec_done = [done_of[pc] for pc in pcs]
+        self.port_int = [port_of[pc] for pc in pcs]
+        self.srcs = srcs = [dyn.srcs for dyn in insts]
+        self.dst = [dyn.dst for dyn in insts]
         #: Unrolled source operands: the scoreboard loops run per issue
         #: attempt, and almost every instruction has <= 2 sources, so the
         #: hot paths check src0/src1 scalars and fall back to the full
         #: tuple only for wider ops (see ``nsrc``).
-        self.nsrc = nsrc = [0] * n
-        self.src0 = src0 = [0] * n
-        self.src1 = src1 = [0] * n
+        self.nsrc = [len(s) for s in srcs]
+        self.src0 = [s[0] if s else 0 for s in srcs]
+        self.src1 = [s[1] if len(s) > 1 else 0 for s in srcs]
         #: I$ line index per instruction, keyed by line size (the one
         #: config-dependent input); built on first use per geometry.
         self._ilines: dict[int, list[int]] = {}
-        for i, dyn in enumerate(insts):
-            opclass = dyn.opclass
-            if dyn.is_load:
-                kind[i] = KIND_LOAD
-            elif dyn.is_store:
-                kind[i] = KIND_STORE
-            dyn_srcs = dyn.srcs
-            srcs[i] = dyn_srcs
-            count = len(dyn_srcs)
-            nsrc[i] = count
-            if count:
-                src0[i] = dyn_srcs[0]
-                if count > 1:
-                    src1[i] = dyn_srcs[1]
-            dst[i] = dyn.dst
-            exec_done[i] = EXEC_LATENCY[opclass]
-            port_int[i] = port_kind(opclass) == INT_PORT
-            is_control[i] = dyn.is_control
-            is_branch[i] = dyn.is_branch
-            taken[i] = dyn.taken
-            addr[i] = dyn.addr
-            store_val[i] = dyn.store_val
-            pc[i] = dyn.pc
 
     def iline(self, line_bytes: int) -> list[int]:
         """Per-instruction I$ line index at ``line_bytes`` granularity."""

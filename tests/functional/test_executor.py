@@ -3,7 +3,7 @@
 import pytest
 
 from repro.functional import ArchState, ExecutionError, FunctionalExecutor, run_program
-from repro.isa import Assembler, R, assemble_text, pc_of
+from repro.isa import Assembler, Instruction, Opcode, Program, R, assemble_text, pc_of
 
 
 def run_text(text, max_instructions=10_000):
@@ -250,3 +250,55 @@ def test_footprint_helper():
         """
     )
     assert trace.mem_footprint_lines(64) == 2
+
+
+def test_pc_out_of_range_counts_nothing():
+    ex = FunctionalExecutor(assemble_text("nop"))
+    ex.step()
+    with pytest.raises(ExecutionError, match="PC out of range: 0x1004"):
+        ex.step()
+    assert ex.dynamic_count == 1
+    assert ex.pc == pc_of(1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("li r1, 0x2001\nld r2, r1, 0\nhalt", "unaligned load address: 0x2001"),
+    ("li r1, 0x2004\nst r1, r1, 0\nhalt", "unaligned store address: 0x2004"),
+])
+def test_unaligned_access_stays_on_the_faulting_instruction(text, message):
+    ex = FunctionalExecutor(assemble_text(text))
+    with pytest.raises(ValueError, match=message):
+        ex.run()
+    assert ex.dynamic_count == 2
+    assert ex.pc == pc_of(1)
+    assert ex.state.regs[R.r2] == 0
+    assert ex.state.memory == {}
+
+
+def test_unknown_opcode_raises_when_executed():
+    ex = FunctionalExecutor(Program(instructions=[Instruction(Opcode.NOP),
+                                                  Instruction("bogus")]))
+    ex.step()
+    with pytest.raises(ExecutionError, match="unimplemented opcode"):
+        ex.step()
+
+
+def test_missing_source_operand_raises_when_executed():
+    ex = FunctionalExecutor(Program(
+        instructions=[Instruction(Opcode.ADD, dst=R.r1, srcs=(R.r2,))]))
+    with pytest.raises(ExecutionError, match="reads 2 source registers"):
+        ex.step()
+
+
+def test_unresolved_label_raises_only_when_executed():
+    unreached = [Instruction(Opcode.HALT), Instruction(Opcode.J, target="gone")]
+    assert run_program(Program(instructions=unreached)).completed
+    with pytest.raises(KeyError):
+        run_program(Program(instructions=unreached[1:]))
+
+
+def test_run_after_halt_returns_an_empty_trace():
+    ex = FunctionalExecutor(assemble_text("halt"))
+    ex.run()
+    again = ex.run()
+    assert len(again) == 0 and again.completed

@@ -34,6 +34,8 @@ def test_mul_wraps_like_signed64(x, y):
 def test_sub_and_xor(x, y):
     assert run_binop("sub", x, y) == to_signed64(x - y)
     assert run_binop("xor", x, y) == to_signed64(x ^ y)
+    assert run_binop("and_", x, y) == to_signed64(x & y)
+    assert run_binop("or_", x, y) == to_signed64(x | y)
 
 
 @settings(max_examples=100, deadline=None)

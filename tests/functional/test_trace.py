@@ -83,9 +83,6 @@ def test_hot_arrays_mirror_records():
         i = dyn.index
         assert hot.srcs[i] == dyn.srcs
         assert hot.dst[i] == dyn.dst
-        assert hot.is_control[i] == dyn.is_control
-        assert hot.taken[i] == dyn.taken
-        assert hot.addr[i] == dyn.addr
         assert hot.pc[i] == dyn.pc
         assert hot.nsrc[i] == len(dyn.srcs)
         if dyn.srcs:
