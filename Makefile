@@ -11,7 +11,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Fast-profile knobs (override on the command line as needed).
 SMOKE_INSTRUCTIONS ?= 1200
 SMOKE_WORKLOADS ?= mcf_like,mesa_like,equake_like,gzip_like
-SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/fabric tests/faults tests/harness tests/engine tests/workloads tests/wgen tests/stats tests/obs
+SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/faults tests/harness tests/engine tests/workloads tests/wgen tests/stats tests/obs
 # Smoke deselects @pytest.mark.slow (wide fixed-budget grids that ignore
 # the REPRO_* fast profile); the full suite always runs them.
 SMOKE_MARKERS ?= not slow
@@ -20,12 +20,8 @@ SMOKE_MARKERS ?= not slow
 # resurrection, timeouts, SIGKILL-resume, store corruption) at a fixed
 # seed — deterministic, so a chaos failure reproduces exactly.
 CHAOS_TESTS ?= tests/faults
-# Fabric chaos: the lease-based campaign fabric under the same
-# deterministic fault plans, slow tests included (SIGKILL'd workers and
-# a SIGKILL'd coordinator resumed in a fresh process).
-FABRIC_CHAOS_TESTS ?= tests/fabric
 
-.PHONY: test smoke smoke-campaign leap-audit chaos fabric-chaos bench bench-warm bench-throughput profile trace
+.PHONY: test smoke smoke-campaign leap-audit chaos bench bench-warm bench-throughput profile trace
 
 # Fast leap-audit slice for `make smoke`: two miss-heavy kernels at the
 # short budget plus the formerly-divergent cells, leap vs reference
@@ -69,30 +65,21 @@ smoke-campaign:
 ## The complete fault-injection matrix, slow tests included: injected
 ## worker deaths and exceptions retried to byte-identical results, pool
 ## resurrection and sequential degradation, per-job timeouts, a real
-## SIGKILL mid-campaign with fresh-process resume, and store
+## SIGKILL mid-campaign (sequential and pooled) with fresh-process
+## resume, pool workers exiting with a SIGKILLed coordinator, and store
 ## truncation -> quarantine -> heal.  Everything is seed-driven (no
 ## randomness), so failures replay deterministically.
 chaos:
 	$(PYTHON) -m pytest -x -q $(CHAOS_TESTS)
 
-## The lease fabric's chaos matrix, slow tests included: lease
-## expiry-then-steal, torn lease records, stalled heartbeats, skewed
-## worker clocks, SIGKILL'd workers re-leased mid-campaign, and a
-## SIGKILL'd coordinator whose fresh process resumes recomputing only
-## the unflushed cells — every campaign byte-identical to its
-## fault-free sequential run.
-fabric-chaos:
-	$(PYTHON) -m pytest -x -q $(FABRIC_CHAOS_TESTS)
-
 ## Campaign throughput (jobs=1 vs jobs=N, disk-store cold/warm, a
 ## seeded generated suite, the phase-attribution on/off delta, the
-## fault-tolerance faults-off-vs-chaos delta, the sequential-vs-lease-
-## fabric delta, and the trace-off-vs-on obs overhead; every comparison
-## is min-of-3 interleaved) as machine-readable JSON, plus the compact
-## trend record (schema v8).  BENCH_throughput.json at the repo root is
-## the checked-in baseline; before overwriting it the fresh record is
-## compared against it and any >20% throughput regression is shouted
-## to stderr.  The repo's layered benchmark (BENCHMARK.json) is
+## fault-tolerance faults-off-vs-chaos delta, and the trace-off-vs-on
+## obs overhead; every comparison is min-of-3 interleaved) as
+## machine-readable JSON, plus the compact trend record (schema v9).
+## BENCH_throughput.json at the repo root is the checked-in baseline;
+## before overwriting it the fresh record is compared against it and
+## any >20% throughput regression is shouted to stderr.  The repo's layered benchmark (BENCHMARK.json) is
 ## `python3 benchmarks/perf/run.py --workload W`.
 bench:
 	$(PYTHON) benchmarks/bench_throughput.py --output BENCH_throughput.json
@@ -116,13 +103,13 @@ bench-warm:
 bench-throughput:
 	$(PYTHON) benchmarks/bench_throughput.py
 
-## Traced smoke campaign: run the fast-profile grid through the fabric
+## Traced smoke campaign: run the fast-profile grid on a 2-worker pool
 ## with span tracing on, then export the merged obs logs to a Chrome
 ## trace-event file (load trace.chrome.json in Perfetto / about:tracing
 ## to see the coordinator and each worker as its own track).
 trace:
 	REPRO_INSTRUCTIONS=$(SMOKE_INSTRUCTIONS) \
 	REPRO_TRACE=1 \
-	$(PYTHON) -m repro figure5 -w $(SMOKE_WORKLOADS) --fabric 2
+	$(PYTHON) -m repro figure5 -w $(SMOKE_WORKLOADS) -j 2
 	$(PYTHON) -m repro obs export --chrome -o trace.chrome.json
 	@echo "wrote trace.chrome.json (open in Perfetto: https://ui.perfetto.dev)"

@@ -1,6 +1,6 @@
 """Campaign throughput: the Figure 5 grid, engine speed vs cache power.
 
-Seven measurements, separated so the trend record can tell them apart:
+Six measurements, separated so the trend record can tell them apart:
 
 * **engine speed** — jobs=1 (and, on multi-core hosts, jobs=N) over the
   grid with every memo tier off (``memo=False``): pure simulation
@@ -21,20 +21,14 @@ Seven measurements, separated so the trend record can tell them apart:
 * **fault-tolerance overhead** — the same pooled grid with faults off
   vs ~10% deterministic worker death (pool teardown, resurrection,
   retries).
-* **fabric throughput** — the grid through the lease-based campaign
-  fabric (coordinator + 2 forked workers over a fresh ledger + store
-  per rep) vs plain sequential execution: what the durable
-  coordination layer costs end to end (fork, leases, heartbeats,
-  store round-trip), byte-identity checked.
 * **obs overhead** — the sequential grid with ``REPRO_TRACE`` unset vs
   set: what span tracing + metrics actually cost when on, and a pin
   that the off side stays at ~zero (a single module-level check),
   byte-identity checked.
 
 Methodology: every on-vs-off comparison (engine jobs=1 vs jobs=N,
-attribution on vs off, faults clean vs chaos, sequential vs fabric,
-trace off vs on)
-takes the **min of three timed reps per side, interleaved A/B/A/B**, so
+attribution on vs off, faults clean vs chaos, trace off vs on) takes
+the **min of three timed reps per side, interleaved A/B/A/B**, so
 machine drift hits both sides alike — on shared hosts wall clocks drift
 +-10% over tens of seconds, which is enough to flip the sign of a
 single-shot comparison.  Residual sign surprises that survive min-of-3
@@ -50,9 +44,9 @@ Usable three ways:
   ``--store-dir`` persists the store between invocations (second runs
   are store-hot); ``--store-only`` skips everything but the store phase.
 * ``--output BENCH_throughput.json`` additionally writes the compact
-  trend record (schema v8: commit, jobs, grid, sims/sec,
-  store cold/warm, generated-suite rates, attribution delta,
-  fault-recovery delta, fabric rate, obs-overhead delta, env) — ``make bench`` uses this.  When the
+  trend record (schema v9: commit, jobs, grid, sims/sec, store
+  cold/warm, generated-suite rates, attribution delta, fault-recovery
+  delta, obs-overhead delta, env) — ``make bench`` uses this.  When the
   output file already holds a previous record, the new one is compared
   against it first and any >20% throughput regression is shouted to
   stderr (the checked-in ``BENCH_throughput.json`` is the baseline).
@@ -83,7 +77,6 @@ from repro.exec import (  # noqa: E402
     default_jobs,
     injected_faults,
     run_jobs,
-    run_jobs_fabric,
 )
 from repro.exec.store import result_to_payload  # noqa: E402
 from repro.harness.experiment import (  # noqa: E402
@@ -422,82 +415,6 @@ def run_fault_tolerance_phase(config: ExperimentConfig, workloads,
     }
 
 
-#: Fabric phase worker count: 2 keeps the phase cheap while still
-#: exercising real multi-process lease traffic.
-FABRIC_WORKERS = 2
-
-
-def run_fabric_phase(config: ExperimentConfig, workloads,
-                     workers: int = FABRIC_WORKERS) -> dict:
-    """Sequential in-process vs the lease fabric over the same grid.
-
-    Each fabric rep gets a *fresh* ledger and store root, so every rep
-    pays the full coordination bill — fork, lease claims, heartbeats,
-    content-addressed flush, collection — and none adopts a prior rep's
-    records.  The sequential side is the same grid memo-off in-process.
-    Byte-identity is the fabric's core contract; the throughput ratio
-    is the honest price of durable coordination at this grid size
-    (small grids are dominated by fork + per-cell I/O, so expect the
-    overhead to shrink as campaigns grow).
-    """
-    from repro.exec import TRACE_CACHE
-
-    specs = suite_jobs(MODELS, workloads, config)
-    for workload in workloads:
-        TRACE_CACHE.get(workload, config.instructions)
-
-    def seq_pass():
-        return _timed(lambda: run_jobs(specs, workers=1, memo=False,
-                                       store=False, fabric=False))
-
-    def fabric_pass():
-        root = tempfile.mkdtemp(prefix="repro-bench-fabric-")
-        report = CampaignReport()
-        try:
-            wall, results = _timed(
-                lambda: run_jobs_fabric(specs, workers=workers, memo=False,
-                                        store=ResultStore(root),
-                                        report=report))
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        return wall, results, report
-
-    seq_pass()  # prime: bytecode + warm snapshots, inherited by forks
-    seq_walls, fabric_walls = [], []
-    seq_results = fabric_results = None
-    reports = []
-    for _ in range(COMPARE_REPS):
-        wall, seq_results = seq_pass()
-        seq_walls.append(wall)
-        wall, fabric_results, rep = fabric_pass()
-        fabric_walls.append(wall)
-        reports.append(rep)
-    seq_wall, fabric_wall = min(seq_walls), min(fabric_walls)
-    sims = len(specs)
-    # Lease traffic is rep-dependent (scheduling races); report the
-    # counters of the fastest rep, the one whose wall is recorded.
-    fastest = reports[fabric_walls.index(fabric_wall)]
-    return {
-        "methodology": METHODOLOGY,
-        "simulations": sims,
-        "workers": workers,
-        "reps": COMPARE_REPS,
-        "sequential_wall_s": round(seq_wall, 4),
-        "fabric_wall_s": round(fabric_wall, 4),
-        "sequential_sims_per_sec": round(sims / seq_wall, 2),
-        "sims_per_sec": round(sims / fabric_wall, 2),
-        "speedup": round(seq_wall / fabric_wall, 2),
-        "leases_issued": fastest.leases_issued,
-        "leases_reclaimed": (fastest.leases_expired
-                             + fastest.leases_stolen
-                             + fastest.leases_reclaimed),
-        "worker_deaths": fastest.worker_deaths,
-        "degradations": fastest.degradations,
-        "results_identical": (_payloads(seq_results)
-                              == _payloads(fabric_results)),
-    }
-
-
 def run_obs_overhead_phase(config: ExperimentConfig, workloads) -> dict:
     """Trace-off vs trace-on sims/sec over the sequential grid.
 
@@ -520,8 +437,7 @@ def run_obs_overhead_phase(config: ExperimentConfig, workloads) -> dict:
     prior_trace = os.environ.pop("REPRO_TRACE", None)
 
     def grid():
-        return run_jobs(jobs, workers=1, memo=False, store=False,
-                        fabric=False)
+        return run_jobs(jobs, workers=1, memo=False, store=False)
 
     def pass_off():
         os.environ.pop("REPRO_TRACE", None)
@@ -588,10 +504,6 @@ def campaign_throughput(parallel_jobs: int | None = None,
     # the env store inside core construction, so a dirty .repro-cache/
     # would corrupt the trend record.  Restored afterwards.
     prior_store_env = os.environ.get("REPRO_STORE")
-    # An ambient REPRO_FABRIC_WORKERS would silently reroute every
-    # non-fabric phase's campaigns through the fabric; the fabric phase
-    # passes its worker count explicitly.
-    prior_fabric_env = os.environ.pop("REPRO_FABRIC_WORKERS", None)
     os.environ["REPRO_STORE"] = "0"
     try:
         report = {
@@ -625,13 +537,11 @@ def campaign_throughput(parallel_jobs: int | None = None,
             report["phase_attribution"] = run_phase_attribution_phase(config)
             report["fault_tolerance"] = run_fault_tolerance_phase(
                 config, workloads)
-            report["fabric"] = run_fabric_phase(config, workloads)
             report["obs"] = run_obs_overhead_phase(config, workloads)
         report["store"] = run_store_phase(config, workloads, store_dir)
         verdicts = [report["store"]["results_identical"]]
         if not store_only:
             verdicts.append(report["fault_tolerance"]["results_identical"])
-            verdicts.append(report["fabric"]["results_identical"])
             verdicts.append(report["obs"]["results_identical"])
             if report["parallel"] is not None:
                 verdicts.append(report["parallel_results_identical"])
@@ -641,8 +551,6 @@ def campaign_throughput(parallel_jobs: int | None = None,
             os.environ.pop("REPRO_STORE", None)
         else:
             os.environ["REPRO_STORE"] = prior_store_env
-        if prior_fabric_env is not None:
-            os.environ["REPRO_FABRIC_WORKERS"] = prior_fabric_env
     return report
 
 
@@ -689,14 +597,6 @@ def test_campaign_throughput(once):
     assert faults["pool_breaks"] >= 1, "no worker death actually landed"
     assert faults["chaos_sims_per_sec"] > 0
     assert "single_core_note" in faults  # negative overhead stays flagged
-    fabric = report["fabric"]
-    assert fabric["results_identical"], "fabric campaign diverged"
-    assert fabric["methodology"] == METHODOLOGY
-    assert fabric["reps"] == COMPARE_REPS
-    assert fabric["sims_per_sec"] > 0
-    assert fabric["leases_issued"] >= 1, "no worker actually leased"
-    assert fabric["worker_deaths"] == 0  # no chaos plan in this phase
-    assert fabric["degradations"] == 0, "fabric fell back to in-process"
     obs = report["obs"]
     assert obs["results_identical"], "tracing changed a result"
     assert obs["methodology"] == METHODOLOGY
@@ -743,12 +643,12 @@ def git_commit() -> str:
 def bench_record(report: dict) -> dict:
     """The compact machine-readable trend record for BENCH_throughput.json.
 
-    Schema v8 (over v7: adds the obs phase — trace-off vs trace-on over
-    the sequential grid, the telemetry subsystem's measured overhead).
+    Schema v9 (over v8: one block fewer — the process pool, timed as
+    ``sims_per_sec.jobsN``, is the only parallel path left to record).
     Enough for a dashboard to plot every trajectory across PRs and to
     tell an engine regression from a cache, generator, attribution,
-    recovery-path, coordination-layer, or telemetry regression, without
-    re-parsing the full report.
+    recovery-path, or telemetry regression, without re-parsing the full
+    report.
     """
     sequential = report["sequential"]
     parallel = report["parallel"]
@@ -756,10 +656,9 @@ def bench_record(report: dict) -> dict:
     generated = report["generated"]
     attribution = report["phase_attribution"]
     faults = report["fault_tolerance"]
-    fabric = report["fabric"]
     obs = report["obs"]
     return {
-        "schema": "bench_throughput/v8",
+        "schema": "bench_throughput/v9",
         "commit": git_commit(),
         "methodology": METHODOLOGY,
         "jobs": {"sequential": 1,
@@ -835,21 +734,6 @@ def bench_record(report: dict) -> dict:
             "single_core_note": faults["single_core_note"],
             "results_identical": faults["results_identical"],
         },
-        "fabric": {
-            "simulations": fabric["simulations"],
-            "workers": fabric["workers"],
-            "reps": fabric["reps"],
-            "sequential_wall_s": fabric["sequential_wall_s"],
-            "fabric_wall_s": fabric["fabric_wall_s"],
-            "sequential_sims_per_sec": fabric["sequential_sims_per_sec"],
-            "sims_per_sec": fabric["sims_per_sec"],
-            "speedup": fabric["speedup"],
-            "leases_issued": fabric["leases_issued"],
-            "leases_reclaimed": fabric["leases_reclaimed"],
-            "worker_deaths": fabric["worker_deaths"],
-            "degradations": fabric["degradations"],
-            "results_identical": fabric["results_identical"],
-        },
         "obs": {
             "simulations": obs["simulations"],
             "reps": obs["reps"],
@@ -873,7 +757,6 @@ GUARD_METRICS = (
     "sims_per_sec.jobs1",
     "generated.sims_per_sec",
     "store.warm_speedup",
-    "fabric.sims_per_sec",
     "obs.on_sims_per_sec",
 )
 GUARD_THRESHOLD = 0.20
@@ -897,7 +780,7 @@ def warn_on_regression(previous: dict, fresh: dict,
     them to ``stream`` (default stderr) loudly enough that a regressed
     ``make bench`` cannot be mistaken for a clean one.  Schema-tolerant:
     metrics absent from either record (e.g. a v5 baseline without the
-    fabric phase) are skipped, never guessed.
+    obs phase) are skipped, never guessed.
     """
     stream = stream if stream is not None else sys.stderr
     warnings = []

@@ -19,22 +19,17 @@ executes them through one engine that
 * **parallelises** across a process pool (:mod:`.engine`), controlled by
   ``REPRO_JOBS`` / ``--jobs`` with a sequential in-process fallback at
   ``jobs=1``, and guarantees results identical to sequential execution
-  (simulations are deterministic functions of their job spec);
+  (simulations are deterministic functions of their job spec) — the one
+  parallel path;
 * **survives faults** (:mod:`.engine` + :mod:`.faults`): per-job
   timeouts (``REPRO_JOB_TIMEOUT``), bounded retries with capped
   exponential backoff (``REPRO_RETRIES``), pool resurrection after
   worker death with surviving results kept, graceful degradation to
   sequential execution, incremental store flush (crash-resume for
-  free), corrupt-record quarantine, and a deterministic chaos harness
+  free), pool workers that exit with a killed coordinator,
+  corrupt-record quarantine, and a deterministic chaos harness
   (``REPRO_FAULTS``) that proves all of it — with every incident
-  tallied in a :class:`~repro.exec.report.CampaignReport`;
-* **distributes** (:mod:`.fabric` + :mod:`.worker`): a lease-based
-  multi-worker campaign fabric (``REPRO_FABRIC_WORKERS`` / ``--fabric``)
-  where independent worker processes lease fingerprinted jobs from a
-  durable on-disk ledger with TTL + heartbeat renewal, complete them
-  idempotently through the store, and survive worker SIGKILLs, torn
-  lease writes, clock skew, and coordinator crashes with crash-safe
-  resume (``repro campaign submit|status|join``, ``repro worker``).
+  tallied in a :class:`~repro.exec.report.CampaignReport`.
 """
 
 from .cache import RESULT_CACHE, TRACE_CACHE, ResultCache, TraceCache
@@ -42,19 +37,8 @@ from .engine import (
     RetryExhaustedError,
     RetryPolicy,
     default_jobs,
-    fabric_workers,
     parallel_map,
     run_jobs,
-)
-from .fabric import (
-    FabricJobError,
-    Ledger,
-    campaign_fingerprint,
-    find_ledger,
-    heartbeat_interval,
-    lease_ttl,
-    list_ledgers,
-    run_jobs_fabric,
 )
 from .faults import (
     FaultInjector,
@@ -75,24 +59,12 @@ from .store import (
     resolve_store,
     store_enabled,
 )
-from .worker import FabricWorker, compute_with_retries
 
 __all__ = [
     "SimJob",
     "run_jobs",
-    "run_jobs_fabric",
     "parallel_map",
     "default_jobs",
-    "fabric_workers",
-    "Ledger",
-    "FabricWorker",
-    "FabricJobError",
-    "campaign_fingerprint",
-    "compute_with_retries",
-    "find_ledger",
-    "list_ledgers",
-    "lease_ttl",
-    "heartbeat_interval",
     "RetryPolicy",
     "RetryExhaustedError",
     "CampaignReport",

@@ -16,8 +16,8 @@ Each fresh fingerprint resolves through three tiers:
    cell, not from zero,
 3. compute (the pool, or in-process at ``jobs=1``).
 
-Fault tolerance (the reliability substrate for the distributed fabric):
-jobs are submitted as individual futures, not a ``pool.map`` batch, so
+Fault tolerance: jobs are submitted as individual futures, not a
+``pool.map`` batch, so
 
 * a per-job wall-clock timeout (:class:`RetryPolicy.job_timeout`,
   ``REPRO_JOB_TIMEOUT``) reaps slow cells and retries them;
@@ -26,10 +26,13 @@ jobs are submitted as individual futures, not a ``pool.map`` batch, so
   :class:`RetryPolicy.max_attempts` (``REPRO_RETRIES`` + 1) times;
 * a dead worker (``BrokenProcessPool`` — the OOM-killer case) costs
   only the in-flight work: completed futures keep their results, the
-  pool is resurrected, and unfinished jobs are resubmitted;
+  pool is resurrected, and unfinished jobs are resubmitted with the
+  lost attempt refunded;
 * after :class:`RetryPolicy.max_pool_breaks` pool deaths the engine
   degrades gracefully to sequential in-process execution (with a fresh
   retry budget), which always terminates;
+* a dead coordinator (SIGKILL, OOM) cannot shut its pool down, so each
+  pool worker watches its parent and exits when it is gone;
 * everything the engine absorbed is tallied in a
   :class:`~repro.exec.report.CampaignReport` — robustness is
   observable, never silent.
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -87,23 +91,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def fabric_workers() -> int:
-    """``REPRO_FABRIC_WORKERS``: lease-fabric worker count (0 = off).
-
-    The CLI's ``--fabric N`` sets it; pool and fabric worker processes
-    pin it to 0 so execution never nests a fabric inside a worker.
-    """
-    env = os.environ.get("REPRO_FABRIC_WORKERS")
-    if not env:
-        return 0
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_FABRIC_WORKERS must be an integer, got {env!r}"
-        ) from None
-
-
 class RetryExhaustedError(RuntimeError):
     """A job failed every allowed attempt; carries its identity."""
 
@@ -122,10 +109,12 @@ class RetryExhaustedError(RuntimeError):
 class RetryPolicy:
     """Fault-tolerance knobs for one campaign.
 
-    ``max_attempts`` bounds executions per job *per regime* (pooled,
-    then sequential-degraded — degradation grants a fresh budget, since
-    pool casualties say nothing about the job itself).  ``job_timeout``
-    (seconds, pooled execution only) reaps attempts that overrun it.
+    ``max_attempts`` bounds a job's own failed executions *per regime*
+    (pooled, then sequential-degraded).  Pool casualties say nothing
+    about the job itself: an attempt lost to a worker death or a pool
+    teardown is refunded, and degradation grants a fresh budget.
+    ``job_timeout`` (seconds, pooled execution only) reaps attempts
+    that overrun it; a timed-out attempt stays charged.
     Backoff before a retry is ``min(cap, base * 2**(attempt-1))``.
     ``max_pool_breaks`` worker-pool deaths are survived by resurrection
     before the engine degrades to sequential in-process execution.
@@ -166,16 +155,38 @@ def _backoff(policy: RetryPolicy, attempt: int) -> float:
                policy.backoff_base * (2 ** max(0, attempt - 1)))
 
 
-def _worker_init() -> None:
-    """Pool workers run their own jobs sequentially (no nested pools,
-    and never a nested fabric)."""
+#: Seconds between a pool worker's checks that its coordinator lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker watchdog thread: exit once the coordinator is gone.
+
+    A SIGKILLed coordinator cannot shut its pool down, and its workers,
+    each a fork of its heap (trace cache included), would otherwise
+    sleep on their call queue forever, reparented to init.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(0)
+
+
+def _worker_init(parent: int) -> None:
+    """Pool workers run their own jobs sequentially (no nested pools)
+    and exit with their coordinator (``parent``, its pid)."""
     os.environ["REPRO_JOBS"] = "1"
-    os.environ["REPRO_FABRIC_WORKERS"] = "0"
     mark_worker_process()
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     name="repro-parent-watch", daemon=True).start()
     # Fork children inherit the parent's tracer; spans they emit land
     # in their own per-pid log (the tracer reopens on pid change).
     # Spawn platforms re-derive activation from the inherited env here.
-    obs_trace.refresh()
+    if obs_trace.refresh() is not None:
+        # Fork also copied the coordinator's metrics registry; this
+        # worker publishes only its own counts (see _pooled_invoke).
+        from ..obs import metrics as obs_metrics
+
+        obs_metrics.REGISTRY.clear()
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -188,7 +199,8 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     except ValueError:  # pragma: no cover - non-fork platforms
         ctx = multiprocessing.get_context()
     return ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                               initializer=_worker_init)
+                               initializer=_worker_init,
+                               initargs=(os.getpid(),))
 
 
 def _run_job(job):
@@ -213,6 +225,24 @@ def _invoke(fn, arg, key: str, attempt: int, delay: float):
         return fn(arg)
     with tracer.span("attempt", fp=key[:16], attempt=attempt):
         return fn(arg)
+
+
+def _pooled_invoke(fn, arg, key: str, attempt: int, delay: float):
+    """:func:`_invoke` in a pool worker, then publish its metrics.
+
+    A traced worker's snapshot is cumulative for its pid and the
+    exporter keeps the last one per pid, so emitting after every
+    attempt loses nothing when the pool is later torn down.
+    """
+    try:
+        return _invoke(fn, arg, key, attempt, delay)
+    finally:
+        tracer = obs_trace.TRACER
+        if tracer is not None:
+            from ..obs import metrics as obs_metrics
+
+            tracer.emit_metrics(obs_metrics.REGISTRY.snapshot(),
+                                scope="worker")
 
 
 class _Task:
@@ -348,6 +378,13 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
     pending: dict = {}
     broke = False
 
+    def casualty(task: _Task) -> None:
+        # Lost to the pool, not to its own fault: requeue it with the
+        # attempt refunded (`seq` still advances on resubmission, so
+        # injected faults re-roll).
+        task.attempts -= 1
+        requeue.append(task)
+
     def submit(task: _Task, delay: float = 0.0) -> None:
         nonlocal broke
         task.attempts += 1
@@ -356,14 +393,14 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
         deadline = (time.monotonic() + policy.job_timeout
                     if policy.job_timeout else None)
         try:
-            future = pool.submit(_invoke, task.fn, task.arg, task.key,
-                                 task.seq, delay)
+            future = pool.submit(_pooled_invoke, task.fn, task.arg,
+                                 task.key, task.seq, delay)
         except BrokenProcessPool:
             # The pool died between completions; the task is innocent.
             if not broke:
                 broke = True
                 report.pool_breaks += 1
-            requeue.append(task)
+            casualty(task)
             return
         pending[future] = (task, deadline)
 
@@ -396,12 +433,12 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
                     if not broke:
                         broke = True
                         report.pool_breaks += 1
-                    requeue.append(task)
+                    casualty(task)
                 except InjectedFault as exc:
                     _retry_or_fail(task, exc, policy, failures, report,
                                    resubmit)
                 except CancelledError:  # pragma: no cover - defensive
-                    requeue.append(task)
+                    casualty(task)
                 except (KeyboardInterrupt, SystemExit):
                     raise  # interrupted, not failed — surface it
                 except BaseException as exc:
@@ -421,9 +458,7 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
                             f"attempt exceeded {policy.job_timeout}s"),
                             policy, failures, report, resubmit)
         # Drain whatever the teardown left behind: futures that did
-        # finish keep their results; the rest go back on the queue
-        # (innocent casualties — no attempt penalty, but `seq` still
-        # advances on resubmission, so injected faults re-roll).
+        # finish keep their results; the rest are innocent casualties.
         for future, (task, _deadline) in list(pending.items()):
             if future.done() and not future.cancelled():
                 try:
@@ -440,7 +475,7 @@ def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
                 except BaseException as exc:
                     _fail(task, exc, "exception", failures, report)
                     continue
-            requeue.append(task)
+            casualty(task)
     finally:
         pool.shutdown(wait=not broke, cancel_futures=True)
     return requeue, broke
@@ -481,7 +516,7 @@ def _prewarm_traces(jobs) -> dict:
 
 def _resolve_cached(jobs, memo: bool, disk,
                     report: CampaignReport, results: list):
-    """The memo and disk tiers, shared by the pool and fabric paths.
+    """The memo and disk tiers, ahead of any compute.
 
     Fills ``results`` in place for every cache hit and returns
     ``(positions, fresh)``: the index positions of each fresh
@@ -527,8 +562,7 @@ def _resolve_cached(jobs, memo: bool, disk,
 def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
              store=None, report: CampaignReport | None = None,
              strict: bool = True,
-             policy: RetryPolicy | None = None,
-             fabric=None) -> list:
+             policy: RetryPolicy | None = None) -> list:
     """Execute ``jobs`` (SimJobs); results in input order.
 
     Fingerprint-identical jobs execute once, whether the duplicate is in
@@ -555,32 +589,12 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     all other jobs have completed and flushed.  ``strict=False``
     instead records failures in the report and leaves ``None`` in the
     failed slots, so one bad workload cannot abort a campaign.
-
-    ``fabric`` routes execution through the lease-based multi-worker
-    fabric (:func:`~repro.exec.fabric.run_jobs_fabric`): ``None``
-    consults ``REPRO_FABRIC_WORKERS`` (the CLI's ``--fabric`` sets it;
-    0/unset = off), an integer N spawns N fabric workers, ``True``
-    uses the fabric's default count, and ``False`` forces the
-    in-process path (the fabric's own degradation escape hatch).
     """
     from .store import resolve_store
 
     # One env read per campaign entry: hot paths below only test the
     # module-level TRACER global (the zero-overhead contract).
     obs_trace.refresh()
-    if fabric is not False:
-        requested = fabric
-        if requested is None:
-            requested = fabric_workers() or None
-        if requested:
-            from .fabric import run_jobs_fabric
-
-            return run_jobs_fabric(
-                jobs,
-                workers=(None if requested is True else int(requested)),
-                memo=memo, store=store, report=report, strict=strict,
-                policy=policy)
-
     jobs = list(jobs)
     workers = workers if workers is not None else default_jobs()
     policy = policy if policy is not None else RetryPolicy.from_env()

@@ -18,16 +18,6 @@ with no wall-clock or RNG state involved:
   truncated (or garbled) *before* the atomic rename, simulating a torn
   write that the rename discipline cannot see.  The damaged record is
   detected as corrupt on its next read, quarantined, and recomputed.
-* **fabric faults** (:mod:`repro.exec.fabric`): a *torn lease write*
-  (``lease_torn``) leaves an unreadable lease record, so the job looks
-  unprotected and another worker re-leases it; a *heartbeat stall*
-  (``heartbeat_stall``) suppresses lease renewals, so a live worker's
-  lease expires mid-job and is stolen; a *clock-skewed TTL*
-  (``clock_skew``/``clock_skew_seconds``) shifts one worker's notion of
-  "now", so it issues already-stale leases and steals early.  All three
-  can only cause *duplicate* execution — completion through the
-  content-addressed store is idempotent, so the chaos contract (results
-  byte-identical to a fault-free run) still holds.
 
 Every decision is a pure function of ``(seed, kind, key, ordinal)``
 via sha256 — no RNG object, no ordering sensitivity: the same plan over
@@ -67,8 +57,7 @@ class InjectedFault(RuntimeError):
 #: deaths increment inside the worker that dies, so count them from the
 #: parent via :meth:`FaultPlan.would_fail` instead).
 FAULT_KINDS = ("worker_death", "job_exception", "slow",
-               "store_truncate", "store_corrupt",
-               "lease_torn", "heartbeat_stall", "clock_skew")
+               "store_truncate", "store_corrupt")
 
 
 @dataclass(frozen=True)
@@ -82,10 +71,6 @@ class FaultPlan:
     slow_seconds: float = 0.02
     store_truncate: float = 0.0
     store_corrupt: float = 0.0
-    lease_torn: float = 0.0
-    heartbeat_stall: float = 0.0
-    clock_skew: float = 0.0
-    clock_skew_seconds: float = 1.5
 
     def any_faults(self) -> bool:
         return any(getattr(self, kind) > 0 for kind in FAULT_KINDS)
@@ -185,39 +170,6 @@ class FaultInjector:
             mid = len(data) // 2
             return data[:mid] + "\x00!chaos!\x00" + data[mid:]
         return None
-
-    # -- fabric fault hooks (:mod:`repro.exec.fabric`) -----------------
-    def mangle_lease(self, data: str, path: str) -> str | None:
-        """Torn lease-record text to write instead, or ``None`` for clean.
-
-        A torn lease fails JSON parsing on every later read, so readers
-        treat the job as unprotected and re-lease it — the worst a lost
-        lease can cost is duplicate (idempotent) work.  Keyed by the
-        lease basename and a per-process write ordinal, so renewals and
-        re-claims of the same lease re-roll.
-        """
-        key = os.path.basename(path)
-        ordinal = self._write_ordinals.get("lease|" + key, 0)
-        self._write_ordinals["lease|" + key] = ordinal + 1
-        if self.plan.roll("lease_torn", key, ordinal):
-            self.counts["lease_torn"] += 1
-            return data[:max(1, len(data) // 2)]
-        return None
-
-    def stall_heartbeat(self, worker_id: str, key: str,
-                        ordinal: int) -> bool:
-        """Should this renewal be skipped (a stalled worker stand-in)?"""
-        if self.plan.roll("heartbeat_stall", f"{worker_id}|{key}", ordinal):
-            self.counts["heartbeat_stall"] += 1
-            return True
-        return False
-
-    def clock_skew_for(self, worker_id: str) -> float:
-        """Seconds of wall-clock skew this worker perceives (0 = none)."""
-        if self.plan.roll("clock_skew", worker_id, 0):
-            self.counts["clock_skew"] += 1
-            return self.plan.clock_skew_seconds
-        return 0.0
 
 
 # ----------------------------------------------------------------------

@@ -43,21 +43,12 @@ class CampaignReport:
     pool_breaks: int = 0    #: BrokenProcessPool events survived
     degradations: int = 0   #: falls back to sequential in-process execution
     store_errors: int = 0   #: corrupt records met + failed store writes
-    # Fabric lease churn (:mod:`repro.exec.fabric`): issuing a lease is
-    # routine, everything after it is something the fabric *survived*.
-    leases_issued: int = 0     #: fresh leases claimed on unheld jobs
-    leases_expired: int = 0    #: leases observed past their TTL
-    leases_stolen: int = 0     #: takeovers of an expired lease
-    leases_reclaimed: int = 0  #: takeovers of a torn/unreadable lease
-    worker_deaths: int = 0     #: fabric worker processes that died
     failures: list[JobFailure] = field(default_factory=list)
 
     def incidents(self) -> int:
         """Anything the engine had to absorb (0 = a boring campaign)."""
         return (self.retries + self.timeouts + self.pool_breaks
                 + self.degradations + self.store_errors
-                + self.leases_expired + self.leases_stolen
-                + self.leases_reclaimed + self.worker_deaths
                 + len(self.failures))
 
     def ok(self) -> bool:
@@ -66,9 +57,7 @@ class CampaignReport:
     def merge(self, other: "CampaignReport") -> "CampaignReport":
         for name in ("jobs", "memo_hits", "store_hits", "computed",
                      "attempts", "retries", "timeouts", "pool_breaks",
-                     "degradations", "store_errors", "leases_issued",
-                     "leases_expired", "leases_stolen", "leases_reclaimed",
-                     "worker_deaths"):
+                     "degradations", "store_errors"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.failures.extend(other.failures)
         return self
@@ -98,11 +87,6 @@ class CampaignReport:
             "pool_breaks": self.pool_breaks,
             "degradations": self.degradations,
             "store_errors": self.store_errors,
-            "leases_issued": self.leases_issued,
-            "leases_expired": self.leases_expired,
-            "leases_stolen": self.leases_stolen,
-            "leases_reclaimed": self.leases_reclaimed,
-            "worker_deaths": self.worker_deaths,
             "failures": [str(f) for f in self.failures],
         }
 
@@ -110,16 +94,10 @@ class CampaignReport:
         parts = [f"{self.jobs} jobs", f"{self.computed} computed",
                  f"{self.memo_hits} memo hits",
                  f"{self.store_hits} store hits"]
-        if self.leases_issued:
-            parts.append(f"{self.leases_issued} leases")
         for name, label in (("retries", "retries"), ("timeouts", "timeouts"),
                             ("pool_breaks", "pool breaks"),
                             ("degradations", "degradations"),
-                            ("store_errors", "store errors"),
-                            ("leases_expired", "leases expired"),
-                            ("leases_stolen", "leases stolen"),
-                            ("leases_reclaimed", "leases reclaimed"),
-                            ("worker_deaths", "worker deaths")):
+                            ("store_errors", "store errors")):
             value = getattr(self, name)
             if value:
                 parts.append(f"{value} {label}")

@@ -496,11 +496,11 @@ class ResultStore:
         """Fold this session's counter deltas into ``counters.json``.
 
         Read-merge-rename under an exclusive lock file, so concurrent
-        flushes (pooled workers, fabric workers, parallel CLI runs over
-        one store) serialise instead of overwriting each other's
-        increments.  If the lock cannot be had within the bounded retry
-        (contention storm, unwritable root, stale-break failure), fall
-        back to the old best-effort unlocked merge — the lifetime
+        flushes (parallel CLI runs or campaigns over one store)
+        serialise instead of overwriting each other's increments.  If
+        the lock cannot be had within the bounded retry (contention
+        storm, unwritable root, stale-break failure), fall back to the
+        old best-effort unlocked merge — the lifetime
         numbers feed ``repro cache stats`` diagnostics, and a possibly
         dropped increment beats a lost flush or a wedged campaign.
         """
@@ -606,8 +606,9 @@ class ResultStore:
         Reads each record through the same decode path campaigns use,
         so anything a campaign would reject — torn JSON, wrong
         fingerprint, shape drift — is quarantined *now* instead of at
-        its next (possibly mid-fabric) lookup.  The fabric's rendezvous
-        store gets its health check without running a single job.
+        its next (possibly mid-campaign) lookup.  A store shared by
+        several campaigns gets its health check without running a
+        single job.
 
         The session hit/miss counters are restored afterwards: an audit
         is not campaign traffic, and must not inflate the lifetime

@@ -20,7 +20,6 @@ so results can be regenerated without writing Python:
     python -m repro phases -w gen:8:7       # per-phase attribution
     python -m repro figure5 --trace         # record obs spans + metrics
     python -m repro obs export --chrome     # -> Perfetto timeline JSON
-    python -m repro top                     # live campaign dashboard
 
 Campaigns are incremental by default: results persist in the on-disk
 store (``REPRO_CACHE_DIR``, default ``.repro-cache/``), so re-running a
@@ -97,10 +96,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="chaos harness: inject deterministic faults, "
                              "e.g. 'seed=7,worker_death=0.1' "
                              "(default: REPRO_FAULTS, off)")
-    parser.add_argument("--fabric", type=int, default=None, metavar="N",
-                        help="run campaigns through the lease-based "
-                             "multi-worker fabric with N workers "
-                             "(default: REPRO_FABRIC_WORKERS, off)")
     parser.add_argument("--trace", action="store_true",
                         help="record structured span traces + metrics to "
                              "<store>/obs/ (default: REPRO_TRACE, off; "
@@ -133,8 +128,6 @@ def _apply_jobs(args) -> None:
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}") from None
         os.environ["REPRO_FAULTS"] = args.faults
-    if getattr(args, "fabric", None) is not None:
-        os.environ["REPRO_FABRIC_WORKERS"] = str(max(0, args.fabric))
     if getattr(args, "trace", False):
         os.environ["REPRO_TRACE"] = "1"
     if getattr(args, "report", False):
@@ -328,7 +321,7 @@ def cmd_cache(args) -> None:
         # Offline integrity audit: read every current-version record
         # through the campaign decode path, quarantining anything torn
         # or malformed now instead of mid-campaign — run it before
-        # pointing a worker fleet at a shared store.
+        # pointing several campaigns at a shared store.
         info = store.verify()
         print(f"Verified store: {info['root']} "
               f"(schema v{info['schema']}, engine {info['engine']})")
@@ -350,141 +343,6 @@ def cmd_cache(args) -> None:
         print(f"gc: removed {removed['expired']} expired and "
               f"{removed['stale']} stale-version entries from "
               f"{os.path.abspath(store.root)}")
-
-
-def _campaign_store():
-    from ..exec.store import resolve_store
-
-    disk = resolve_store(None)
-    if disk is None:
-        raise SystemExit(
-            "the campaign fabric needs the disk store as its rendezvous "
-            "(REPRO_STORE=0 / --no-store disables it)")
-    return disk
-
-
-def _status_line(status: dict) -> str:
-    if status.get("initialising"):
-        # The manifest was unreadable even after the ledger's retry: the
-        # coordinator is mid-create (or the record is torn).
-        return f"{status['campaign'][:16]}  initialising"
-    line = (f"{status['campaign'][:16]}  {status['done']}/{status['total']} "
-            f"done")
-    if status["failed"]:
-        line += f", {status['failed']} failed"
-    if status["leases_held"]:
-        line += f", {status['leases_held']} leased"
-    if status["leases_expired"] or status["leases_torn"]:
-        line += (f", {status['leases_expired'] + status['leases_torn']} "
-                 "reclaimable")
-    if status["workers_seen"]:
-        line += f", {status['workers_seen']} workers seen"
-    return line
-
-
-def cmd_campaign(args) -> None:
-    from ..exec.fabric import (
-        Ledger,
-        find_ledger,
-        ledger_for,
-        list_ledgers,
-        run_jobs_fabric,
-    )
-    from .experiment import suite_jobs
-
-    if args.action == "status":
-        _apply_jobs(args)
-        disk = _campaign_store()
-        ledgers = []
-        if args.campaign:
-            ledger = find_ledger(args.campaign, disk.root)
-            if ledger is None:
-                raise SystemExit(
-                    f"no campaign ledger matches {args.campaign!r} "
-                    f"under {disk.root}")
-            ledgers = [ledger]
-        else:
-            ledgers = list_ledgers(disk.root)
-        if not ledgers:
-            print(f"no campaign ledgers under {disk.root}")
-            return
-        if args.watch:
-            from ..obs.watch import campaign_snapshot, watch_loop
-
-            watch_loop(
-                lambda: [campaign_snapshot(ledger) for ledger in ledgers],
-                interval=args.interval)
-            return
-        for ledger in ledgers:
-            print(_status_line(ledger.status()))
-        return
-
-    config = _config(args)
-    disk = _campaign_store()
-    if args.action == "submit":
-        # Submit = durably ledger the grid without running it; workers
-        # (`repro worker --ledger ...`) and `campaign join` drain it.
-        workloads = _workloads(args) or list(ALL_KERNELS)
-        jobs = suite_jobs(MODELS, workloads, config)
-        ledger = Ledger.create(ledger_for(jobs, disk.root).root, jobs)
-        status = ledger.status()
-        print(f"campaign {status['campaign'][:16]}: {status['total']} jobs "
-              f"ledgered at {ledger.root}")
-        print(f"  drain it with `repro worker --ledger "
-              f"{status['campaign'][:16]}` (any number of processes)")
-        print(f"  or `repro campaign join --fabric N` "
-              "(coordinator + N workers)")
-        return
-
-    # join: run the coordinator over the submitted (or fresh) grid —
-    # the campaign fingerprint rendezvouses at the same ledger, so a
-    # killed coordinator's fresh process resumes, not restarts.
-    workloads = _workloads(args) or list(ALL_KERNELS)
-    jobs = suite_jobs(MODELS, workloads, config)
-    report = _report()
-    run_jobs_fabric(jobs, workers=args.fabric, store=disk, report=report,
-                    strict=False)
-    _emit_report(report)
-    done = report.memo_hits + report.store_hits + report.computed
-    print(f"campaign joined: {done}/{report.jobs} cells settled "
-          f"({report.computed} computed, {report.store_hits} from store)")
-    if report.failures:
-        raise SystemExit(1)
-
-
-def cmd_worker(args) -> None:
-    from ..exec.fabric import find_ledger
-    from ..exec.faults import mark_worker_process
-    from ..exec.worker import FabricWorker
-
-    _apply_jobs(args)
-    # A CLI worker is exactly the process `run_jobs_fabric` forks: pin
-    # it sequential (its parallelism is the fleet, not a nested pool)
-    # and let injected worker deaths target it like any other worker.
-    os.environ["REPRO_JOBS"] = "1"
-    os.environ["REPRO_FABRIC_WORKERS"] = "0"
-    mark_worker_process()
-    disk = _campaign_store()
-    ledger = find_ledger(args.ledger, disk.root)
-    if ledger is None:
-        raise SystemExit(
-            f"no campaign ledger matches {args.ledger!r} under {disk.root} "
-            "(`repro campaign status` lists them)")
-    worker = FabricWorker(ledger, f"cli{args.index}-{os.getpid()}",
-                          store=disk, index=args.index)
-
-    def _graceful(_signum, _frame) -> None:
-        worker.stop()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-    worker.run()
-    stats = worker.stats
-    print(f"worker {worker.worker_id}: {stats['completed']} computed, "
-          f"{stats['adopted']} adopted, {stats['failed']} failed, "
-          f"{stats['leases_issued']} leases "
-          f"(+{stats['leases_stolen']} stolen, "
-          f"{stats['leases_reclaimed']} reclaimed)", file=sys.stderr)
 
 
 def cmd_obs(args) -> None:
@@ -523,24 +381,6 @@ def cmd_obs(args) -> None:
             print("  counters:")
             for name in sorted(counters):
                 print(f"    {name:28s} {counters[name]}")
-
-
-def cmd_top(args) -> None:
-    from ..exec.fabric import list_ledgers
-    from ..obs.watch import campaign_snapshot, watch_loop
-
-    _apply_jobs(args)
-    disk = _campaign_store()
-
-    def snapshots():
-        return [campaign_snapshot(ledger)
-                for ledger in list_ledgers(disk.root)]
-
-    if args.once:
-        # One refresh, no screen clear: scriptable / testable output.
-        watch_loop(snapshots, interval=0, iterations=1, clear=False)
-        return
-    watch_loop(snapshots, interval=args.interval)
 
 
 def cmd_wgen(args) -> None:
@@ -751,30 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quarantine: delete the quarantined records")
     p.set_defaults(fn=cmd_cache)
 
-    p = sub.add_parser("campaign",
-                       help="submit / inspect / drain fabric campaigns")
-    _add_common(p)
-    p.add_argument("action", choices=("submit", "status", "join"))
-    p.add_argument("campaign", nargs="?", default=None,
-                   help="status: a campaign fingerprint prefix or ledger "
-                        "path (default: all ledgers under the store)")
-    p.add_argument("--watch", action="store_true",
-                   help="status: redraw a live dashboard (workers, lease "
-                        "ages, throughput, ETA) until ctrl-c")
-    p.add_argument("--interval", type=float, default=1.0, metavar="SEC",
-                   help="watch refresh period (default 1.0)")
-    p.set_defaults(fn=cmd_campaign)
-
-    p = sub.add_parser("top",
-                       help="live dashboard over every campaign ledger")
-    _add_common(p)
-    p.add_argument("--interval", type=float, default=1.0, metavar="SEC",
-                   help="refresh period (default 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="draw one refresh without clearing the screen "
-                        "and exit (scriptable)")
-    p.set_defaults(fn=cmd_top)
-
     p = sub.add_parser("obs", help="export / summarise recorded obs logs")
     p.add_argument("action", choices=("export", "summary"))
     p.add_argument("--chrome", action="store_true",
@@ -787,16 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="obs log directory (default: REPRO_OBS_DIR, then "
                         "<store root>/obs)")
     p.set_defaults(fn=cmd_obs)
-
-    p = sub.add_parser("worker",
-                       help="drain one campaign ledger as a fabric worker")
-    _add_common(p)
-    p.add_argument("--ledger", required=True,
-                   help="campaign fingerprint prefix or ledger path")
-    p.add_argument("--index", type=int, default=0,
-                   help="worker slot index (spreads the scan order and "
-                        "keys chaos faults; default 0)")
-    p.set_defaults(fn=cmd_worker)
     return parser
 
 

@@ -7,12 +7,10 @@ Zero-dependency observability for the whole execution stack:
   ``REPRO_TRACE`` / ``--trace``; off costs one module-level check.
 - :mod:`repro.obs.metrics` — named counters/gauges/histograms with
   merge-safe snapshots; the one facility behind CampaignReport tallies,
-  store counters, fabric lease stats, and the engine's leap-audit
-  probes.
+  store counters, and the engine's leap-audit probes (pool workers
+  publish theirs per attempt).
 - :mod:`repro.obs.export` — merge obs logs, export Chrome trace-event
   JSON (``repro obs export --chrome``) for Perfetto timelines.
-- :mod:`repro.obs.watch` — live dashboards (``repro campaign status
-  --watch``, ``repro top``).
 
 The non-negotiable contract (pinned in tier-1, measured by
 ``make bench``): tracing on vs. off is byte-identical in every result

@@ -1,12 +1,12 @@
 """Merge per-process obs logs and export Chrome trace-event JSON.
 
-``repro obs export --chrome`` turns a traced campaign — any mix of the
-coordinator, pool workers, and fabric workers, each with its own
-append-only JSONL log under ``<store>/obs/`` — into one Chrome
-trace-event file (the JSON Array Format with a ``traceEvents`` wrapper)
-that chrome://tracing and https://ui.perfetto.dev render as a timeline
-with one track per process: the whole multi-worker fabric campaign on
-one screen, lease churn and store flushes included.
+``repro obs export --chrome`` turns a traced campaign — the
+coordinator and its pool workers, each with its own append-only JSONL
+log under ``<store>/obs/`` — into one Chrome trace-event file (the JSON
+Array Format with a ``traceEvents`` wrapper) that chrome://tracing and
+https://ui.perfetto.dev render as a timeline with one track per
+process: the whole multi-worker campaign on one screen, attempts and
+store flushes included.
 
 The span records are already almost Chrome events ("X" complete events
 with microsecond ``ts``/``dur``); export normalises timestamps to the
@@ -38,9 +38,9 @@ def split_records(records):
     """``(spans_and_instants, metadata, metrics_snapshots)``.
 
     Metrics records are cumulative per process (a long-lived process
-    emits one per campaign), so only the latest snapshot per pid
-    survives — merging then sums across *processes*, never across a
-    process's own history.
+    emits one per campaign, a traced pool worker one per attempt), so
+    only the latest snapshot per pid survives — merging then sums
+    across *processes*, never across a process's own history.
     """
     spans, meta = [], []
     last_snapshot: dict[int, dict] = {}

@@ -2,12 +2,12 @@
 
 One merge-safe facility behind every tally in the stack.  The
 :class:`~repro.exec.report.CampaignReport` counters, the store's
-``counters.json`` session deltas, the fabric's per-worker lease stats,
-and the engine's leap-audit probes all mirror into a process-local
-:class:`MetricsRegistry`, whose snapshot (:meth:`MetricsRegistry.snapshot`)
-is a plain JSON-able dict designed so that snapshots from *any* number
-of processes merge by addition (:func:`merge_snapshots`) — counters
-and histogram buckets sum, gauges keep the latest sample.
+``counters.json`` session deltas, and the engine's leap-audit probes
+all mirror into a process-local :class:`MetricsRegistry`, whose
+snapshot (:meth:`MetricsRegistry.snapshot`) is a plain JSON-able dict
+designed so that snapshots from *any* number of processes merge by
+addition (:func:`merge_snapshots`) — counters and histogram buckets
+sum, gauges keep the latest sample.
 
 Everything is stdlib, allocation-light, and safe to leave enabled:
 an ``inc()`` is a dict probe and an integer add.  The expensive parts
@@ -118,7 +118,7 @@ class MetricsRegistry:
 
     def count_into(self, prefix: str, tallies: dict) -> None:
         """Mirror a dict of numeric tallies as ``<prefix>.<key>`` counters
-        (the CampaignReport / worker-stats / store-counters bridge)."""
+        (the CampaignReport / store-counters bridge)."""
         for key, value in tallies.items():
             if isinstance(value, (int, float)) and value:
                 self.counter(f"{prefix}.{key}").inc(int(value))
@@ -182,8 +182,9 @@ def merge_snapshots(snapshots) -> dict:
     return merged
 
 
-#: Process-wide default registry (fork children inherit a copy and
-#: publish their deltas through the obs log's metrics records).
+#: Process-wide default registry.  A traced pool worker clears the copy
+#: fork handed it and publishes its own cumulative snapshot after every
+#: attempt through the obs log's metrics records.
 REGISTRY = MetricsRegistry()
 
 

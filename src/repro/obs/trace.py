@@ -1,13 +1,12 @@
 """Structured span tracing: append-only JSONL event logs per process.
 
 The tracer answers "where did the wall-clock go" for a campaign that
-spans three execution layers (in-process engine, process pool, lease
-fabric).  Every instrumented site opens a *span* — a named interval
-with arbitrary ``args`` — or drops an instant *event* (lease
-transitions, worker deaths).  Spans nest implicitly: Chrome's trace
-viewer (and :mod:`repro.obs.export`) reconstructs the hierarchy from
-timestamp containment per (pid, tid) track, so emitting a span costs
-one appended line and no bookkeeping.
+spans two execution layers (the in-process engine and its process
+pool).  Every instrumented site opens a *span* — a named interval with
+arbitrary ``args`` — or drops an instant *event*.  Spans nest
+implicitly: Chrome's trace viewer (and :mod:`repro.obs.export`)
+reconstructs the hierarchy from timestamp containment per (pid, tid)
+track, so emitting a span costs one appended line and no bookkeeping.
 
 Activation and the zero-overhead contract
 -----------------------------------------
@@ -19,13 +18,12 @@ observation-only law (pinned in tier-1, measured by ``make bench``):
 tracing on vs. off is byte-identical in every result and stat, and the
 off cost is ~zero.
 
-Durability mirrors the fabric ledger: one file per process under
-``<store>/obs/`` (``REPRO_OBS_DIR`` overrides), append-only, one JSON
-object per line, flushed per event — a SIGKILL can tear at most the
-final line, and the reader (:func:`iter_events`) skips torn lines.
-Forked children (pool and fabric workers) inherit the parent's tracer;
-the first emit in a new pid reopens a fresh per-process file, so
-concurrent writers never interleave.
+Durability: one file per process under ``<store>/obs/``
+(``REPRO_OBS_DIR`` overrides), append-only, one JSON object per line,
+flushed per event — a SIGKILL can tear at most the final line, and the
+reader (:func:`iter_events`) skips torn lines.  Forked pool workers
+inherit the parent's tracer; the first emit in a new pid reopens a
+fresh per-process file, so concurrent writers never interleave.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ class Tracer:
     One :class:`Tracer` serves a whole process tree: fork children
     inherit it, and :meth:`emit` reopens a fresh ``<label>-<pid>.jsonl``
     whenever the pid changed since the last write.  Writes are one
-    ``write()`` + ``flush()`` per record — crash-safe like the ledger.
+    ``write()`` + ``flush()`` per record, so a crash tears at most one.
     """
 
     def __init__(self, root: str, label: str = "proc") -> None:
@@ -157,13 +155,6 @@ class Tracer:
         exporter's span stream, merged by ``repro obs export``)."""
         self.emit({"ph": "metrics", "ts": time.time_ns() // 1_000,
                    "scope": scope, "metrics": snapshot})
-
-    def set_label(self, label: str) -> None:
-        """Rename this process's track (workers call it with their id);
-        takes effect at the next (re)open, so set it before emitting."""
-        if label != self.label:
-            self.label = label
-            self._pid = None  # force reopen under the new name
 
     def close(self) -> None:
         with self._lock:
@@ -256,8 +247,7 @@ def iter_events(path: str):
     """Yield event records from one JSONL log, skipping torn lines.
 
     A crash can tear at most the final line of an append-only log;
-    any undecodable line is skipped rather than raised, mirroring the
-    ledger's torn-lease tolerance.
+    any undecodable line is skipped rather than raised.
     """
     try:
         handle = open(path, encoding="utf-8")

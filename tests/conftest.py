@@ -13,7 +13,8 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def hermetic_result_store(tmp_path, monkeypatch):
-    """Point REPRO_CACHE_DIR at a per-test tmpdir; neutralise REPRO_STORE.
+    """Point REPRO_CACHE_DIR at a per-test tmpdir; neutralise REPRO_STORE;
+    start from an empty RAM memo.
 
     Fault-tolerance knobs are likewise neutralised: a developer running
     the suite under ``REPRO_FAULTS`` (or retry/timeout overrides) must
@@ -24,16 +25,17 @@ def hermetic_result_store(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-    # The lease fabric is likewise opt-in: a developer's fabric/TTL
-    # settings must not reroute (or retime) test campaigns.
-    monkeypatch.delenv("REPRO_FABRIC_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
-    monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
     # Telemetry is observation-only, but a developer's REPRO_TRACE must
     # not scatter obs logs through test stores (or flip report output).
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_OBS_DIR", raising=False)
     monkeypatch.delenv("REPRO_REPORT", raising=False)
+    # The RAM memo is process-global: a result an earlier test computed
+    # would turn this test's campaign into a memo hit that records no
+    # `job` span and computes nothing.
+    from repro.exec import RESULT_CACHE
+
+    RESULT_CACHE.clear()
     # A stray activation (or published counters) from a prior in-process
     # test must not leak into this one's registry or logs.
     from repro.obs import metrics as obs_metrics

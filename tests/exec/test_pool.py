@@ -1,0 +1,355 @@
+"""The process pool, the campaign engine's one parallel path.
+
+What a pooled campaign must keep: byte-identical results whatever the
+tier a cell came from (memo, disk store, pool worker), no pool at all
+for work that cannot use one, workers that run their jobs sequentially
+and exit with their coordinator, dead workers that cost only their
+in-flight work, and timed-out attempts that stay charged.
+"""
+
+import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from types import SimpleNamespace
+
+import pytest
+
+from repro.exec import (
+    CampaignReport,
+    FaultPlan,
+    RESULT_CACHE,
+    ResultStore,
+    RetryExhaustedError,
+    RetryPolicy,
+    SimJob,
+    injected_faults,
+    parallel_map,
+    run_jobs,
+)
+from repro.exec import engine
+from repro.exec.faults import in_worker_process
+from repro.exec.store import result_to_payload
+from repro.harness.cli import main
+from repro.harness.experiment import ExperimentConfig
+from repro.obs import metrics as obs_metrics
+
+WORKLOADS = ("mesa_like", "gzip_like", "crafty_like")
+MODELS = ("in-order", "icfp")
+
+
+def _jobs(instructions=313):
+    cfg = ExperimentConfig(instructions=instructions)
+    return [SimJob(m, w, cfg) for w in WORKLOADS for m in MODELS]
+
+
+def _payloads(results):
+    return [json.dumps(result_to_payload(r), sort_keys=True)
+            for r in results]
+
+
+def _clean(jobs):
+    return run_jobs(jobs, workers=1, memo=False, store=False)
+
+
+def _square(x):
+    return x * x
+
+
+def _worker_state(_item):
+    return {
+        "pid": os.getpid(),
+        "jobs": os.environ.get("REPRO_JOBS"),
+        "in_worker": in_worker_process(),
+        "threads": [(t.name, t.daemon) for t in threading.enumerate()],
+    }
+
+
+def _die_once(arg):
+    """SIGKILL this worker the first time item 1 runs (the OOM killer)."""
+    marker, value = arg
+    if value == 1 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 10
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError("three is right out")
+    return x
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _registry_counters(_item):
+    return obs_metrics.REGISTRY.snapshot()["counters"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the size of every pool the engine starts."""
+    sizes = []
+    real_pool = engine._pool
+
+    def spy(workers):
+        sizes.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(engine, "_pool", spy)
+    return sizes
+
+
+# ----------------------------------------------------------------------
+# when the pool is (not) used
+# ----------------------------------------------------------------------
+def _one_worker():
+    return run_jobs(_jobs()[:2], workers=1, memo=False, store=False)
+
+
+def _one_fresh_job():
+    return run_jobs(_jobs()[:1], workers=2, memo=False, store=False)
+
+
+def _all_cached():
+    jobs = _jobs()[:2]
+    run_jobs(jobs, workers=1, store=False)
+    report = CampaignReport()
+    results = run_jobs(jobs, workers=2, store=False, report=report)
+    assert report.memo_hits == len(jobs)
+    return results
+
+
+def _one_map_item():
+    return parallel_map(_square, [7], workers=2)
+
+
+@pytest.mark.parametrize("campaign", [_one_worker, _one_fresh_job,
+                                      _all_cached, _one_map_item],
+                         ids=["one-worker", "one-fresh-job", "all-cached",
+                              "one-map-item"])
+def test_small_campaigns_never_start_a_pool(monkeypatch, campaign):
+    def no_pool(workers):
+        raise AssertionError(f"started a {workers}-worker pool")
+
+    monkeypatch.setattr(engine, "_pool", no_pool)
+    assert all(r is not None for r in campaign())
+
+
+@pytest.mark.parametrize("jobs_env, expected", [("1", []), ("2", [2])])
+def test_jobs_env_knob_routes_campaigns_through_the_pool(
+        monkeypatch, pool_sizes, jobs_env, expected):
+    monkeypatch.setenv("REPRO_JOBS", jobs_env)
+    jobs = _jobs()
+    assert _payloads(run_jobs(jobs, memo=False, store=False)) \
+        == _payloads(_clean(jobs))
+    assert pool_sizes == expected
+
+
+def test_pool_is_sized_to_the_runnable_work(pool_sizes):
+    jobs = _jobs()[:2]
+    results = run_jobs(jobs, workers=8, memo=False, store=False)
+    assert pool_sizes == [2]
+    assert _payloads(results) == _payloads(_clean(jobs))
+
+
+# ----------------------------------------------------------------------
+# the workers themselves
+# ----------------------------------------------------------------------
+def test_pool_workers_run_jobs_sequentially_and_watch_their_parent():
+    states = parallel_map(_worker_state, range(4), workers=2)
+    for state in states:
+        assert state["pid"] != os.getpid()
+        assert state["jobs"] == "1"  # no nested pools
+        assert state["in_worker"]    # worker-death faults may fire there
+        assert ("repro-parent-watch", True) in state["threads"]
+    # ...and none of it leaks back into the coordinator.
+    assert not in_worker_process()
+    assert not any(t.name == "repro-parent-watch"
+                   for t in threading.enumerate())
+
+
+def test_parent_watch_exits_once_the_parent_is_gone(monkeypatch):
+    parents = iter([100, 100, 1])  # reparented to init on the third poll
+    sleeps = []
+
+    class Exited(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(engine, "os", SimpleNamespace(
+        getppid=lambda: next(parents), _exit=fake_exit))
+    monkeypatch.setattr(engine, "time", SimpleNamespace(sleep=sleeps.append))
+    with pytest.raises(Exited) as excinfo:
+        engine._exit_with_parent(100)
+    assert excinfo.value.args == (0,)
+    assert sleeps == [engine._PARENT_POLL_SECONDS] * 2
+
+
+def test_traced_pool_workers_start_from_an_empty_registry(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "obs"))
+    obs_metrics.counter("coordinator.only").inc(5)
+    for counters in parallel_map(_registry_counters, range(2), workers=2):
+        assert "coordinator.only" not in counters
+    assert obs_metrics.REGISTRY.snapshot()["counters"] \
+        == {"coordinator.only": 5}
+
+
+@pytest.mark.parametrize("faults", [None, FaultPlan(worker_death=1.0)],
+                         ids=["clean", "every-worker-dies"])
+def test_pool_leaves_no_live_workers(faults):
+    before = set(multiprocessing.active_children())
+    jobs = _jobs()
+    policy = RetryPolicy(max_pool_breaks=2, backoff_base=0.0)
+    with injected_faults(faults):
+        results = run_jobs(jobs, workers=2, memo=False, store=False,
+                           policy=policy)
+    assert _payloads(results) == _payloads(_clean(jobs))
+    deadline = time.monotonic() + 10.0
+    while (set(multiprocessing.active_children()) - before
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert set(multiprocessing.active_children()) - before == set()
+
+
+# ----------------------------------------------------------------------
+# the cache tiers around the pool
+# ----------------------------------------------------------------------
+def test_pool_without_a_store_matches_sequential():
+    jobs = _jobs()
+    report = CampaignReport()
+    results = run_jobs(jobs, workers=2, store=False, report=report)
+    assert _payloads(results) == _payloads(_clean(jobs))
+    assert report.computed == len(jobs) and report.store_hits == 0
+
+
+def test_pool_flushes_every_computed_cell_to_the_store(tmp_path):
+    jobs = _jobs()
+    results = run_jobs(jobs, workers=2, memo=False,
+                       store=ResultStore(str(tmp_path / "store")))
+    reader = ResultStore(str(tmp_path / "store"))
+    stored = [reader.get_result(job.fingerprint) for job in jobs]
+    assert all(r is not None for r in stored)
+    assert _payloads(stored) == _payloads(results)
+
+
+def test_pool_resumes_from_a_partially_flushed_store(tmp_path):
+    jobs = _jobs()
+    clean = _clean(jobs)
+    store = ResultStore(str(tmp_path / "store"))
+    for job, result in list(zip(jobs, clean))[::2]:
+        store.put_result(job.fingerprint, result)
+    report = CampaignReport()
+    resumed = run_jobs(jobs, workers=2, memo=False, store=store,
+                       report=report)
+    assert report.store_hits == len(jobs[::2])
+    assert report.computed == len(jobs[1::2])
+    assert _payloads(resumed) == _payloads(clean)
+
+
+def test_pool_dedupes_within_a_batch_and_memoizes_across_calls():
+    jobs = _jobs()
+    first = CampaignReport()
+    results = run_jobs(jobs + jobs[:2], workers=2, store=False,
+                       report=first)
+    assert first.computed == len(jobs)
+    assert _payloads(results) == _payloads(_clean(jobs + jobs[:2]))
+    again = CampaignReport()
+    memoized = run_jobs(jobs, workers=2, store=False, report=again)
+    assert again.memo_hits == len(jobs) and again.computed == 0
+    assert all(a is b for a, b in zip(memoized, results))
+    assert all(RESULT_CACHE.get(job.fingerprint) is not None
+               for job in jobs)
+
+
+# ----------------------------------------------------------------------
+# failures on the pool
+# ----------------------------------------------------------------------
+def test_sigkilled_worker_is_a_casualty_not_a_failure(tmp_path):
+    marker = str(tmp_path / "killed-once")
+    report = CampaignReport()
+    policy = RetryPolicy(backoff_base=0.0)
+    results = parallel_map(_die_once, [(marker, i) for i in range(4)],
+                           workers=2, report=report, policy=policy)
+    assert results == [0, 10, 20, 30]
+    assert os.path.exists(marker)  # the kill really happened
+    assert report.pool_breaks == 1
+    assert report.retries == 0 and report.degradations == 0
+    assert report.ok()
+
+
+def test_pool_exception_is_not_retried_and_names_its_item():
+    report = CampaignReport()
+    with pytest.raises(ValueError, match="three is right out") as excinfo:
+        parallel_map(_fail_on_three, range(6), workers=2, report=report)
+    assert any("_fail_on_three[3]" in note
+               for note in excinfo.value.__notes__)
+    assert report.retries == 0
+    assert report.computed == 5  # every sibling still finished
+    assert [(f.label, f.kind) for f in report.failures] \
+        == [("_fail_on_three[3]", "exception")]
+
+
+def test_timed_out_attempts_stay_charged():
+    # Item 0 overruns every attempt.  A charged timeout exhausts its two
+    # attempts; a refunded one would loop until the pool breaks ran out
+    # and the degraded, timeout-free sequential run finished it.
+    report = CampaignReport()
+    policy = RetryPolicy(max_attempts=2, job_timeout=0.5,
+                         backoff_base=0.0, max_pool_breaks=5)
+    with pytest.raises(RetryExhaustedError) as excinfo:
+        parallel_map(_nap, [2.0, 0.0], workers=2, report=report,
+                     policy=policy)
+    assert excinfo.value.label == "_nap[0]"
+    assert excinfo.value.attempts == 2
+    assert report.timeouts >= 2
+    assert report.degradations == 0
+
+
+def _retried_plan(keys, attempts):
+    """A seed that fails some first attempts but never all ``attempts``
+    of one key (searched, like the chaos tests' plans)."""
+    for seed in range(1000):
+        plan = FaultPlan(seed=seed, job_exception=0.4)
+        if (any(plan.would_fail("job_exception", key) for key in keys)
+                and not any(all(plan.would_fail("job_exception", key, n)
+                                for n in range(1, attempts + 1))
+                            for key in keys)):
+            return plan
+    raise AssertionError("no qualifying seed in range — widen the search")
+
+
+def test_parallel_map_retries_injected_faults_in_the_pool():
+    items = list(range(8))
+    plan = _retried_plan([f"_square:{i}" for i in items],
+                         RetryPolicy().max_attempts)
+    report = CampaignReport()
+    with injected_faults(plan):
+        results = parallel_map(_square, items, workers=2, report=report)
+    assert results == [x * x for x in items]
+    assert report.retries >= 1
+    assert report.ok()
+
+
+# ----------------------------------------------------------------------
+# the CLI's --jobs
+# ----------------------------------------------------------------------
+def test_cli_jobs_flag_prints_what_sequential_prints(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "1")  # --jobs writes it; restore it
+    monkeypatch.setenv("REPRO_STORE", "0")
+    outputs = []
+    for jobs in ("1", "2"):
+        RESULT_CACHE.clear()
+        assert main(["figure5", "-n", "313", "-w", "mesa_like,gzip_like",
+                     "-j", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "gmean SPEC" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -62,6 +62,22 @@ def test_store_hit_is_byte_identical_to_fresh_simulation(tmp_path):
     assert reader.hits == len(jobs) and reader.corrupt == 0
 
 
+def test_double_complete_is_payload_idempotent(tmp_path):
+    # Two CLI processes sharing a store can both compute one fingerprint
+    # and put it twice: the records are payload-identical, so the second
+    # put is a semantic no-op whoever wins the rename.
+    jobs, [result] = fresh_results(models=("in-order",),
+                                   workload="mesa_like")
+    fingerprint = jobs[0].fingerprint
+    store = ResultStore(str(tmp_path / "store"))
+    assert store.put_result(fingerprint, result)
+    first = store.get_json("results", fingerprint)
+    assert store.put_result(fingerprint, result)  # the "loser"
+    second = store.get_json("results", fingerprint)
+    assert (json.dumps(first, sort_keys=True)
+            == json.dumps(second, sort_keys=True))
+
+
 def test_payload_round_trip_preserves_interval_tuples():
     _, results = fresh_results(models=("icfp",))
     rebuilt = payload_to_result(

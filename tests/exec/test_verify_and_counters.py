@@ -1,10 +1,10 @@
-"""Store satellites of the fabric PR: locked counters, proactive verify.
+"""Store health under sharing: locked counters, proactive verify.
 
-Once many worker processes share one store root, ``counters.json``
-becomes a multi-writer file and the integrity of the rendezvous records
-becomes a liveness concern.  These tests pin the two answers: the
-lock-file read-merge-rename keeps concurrent flushes lossless, and
-``verify()`` quarantines anything a campaign would later reject.
+Once several processes share one store root, ``counters.json`` becomes
+a multi-writer file and the integrity of shared records becomes a
+liveness concern.  These tests pin the two answers: the lock-file
+read-merge-rename keeps concurrent flushes lossless, and ``verify()``
+quarantines anything a campaign would later reject.
 """
 
 import json
@@ -20,8 +20,7 @@ def _store_with_results(tmp_path, instructions=420, n=3):
     jobs = [SimJob(m, "mesa_like", cfg)
             for m in ("in-order", "runahead", "icfp")[:n]]
     store = ResultStore(str(tmp_path / "store"))
-    results = run_jobs(jobs, workers=1, memo=False, store=store,
-                       fabric=False)
+    results = run_jobs(jobs, workers=1, memo=False, store=store)
     return store, jobs, results
 
 

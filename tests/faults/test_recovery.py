@@ -21,6 +21,7 @@ from repro.exec import (
     injected_faults,
     run_jobs,
 )
+from repro.exec.faults import FAULT_KINDS
 from repro.exec.store import result_to_payload
 from repro.harness.experiment import ExperimentConfig
 
@@ -155,6 +156,45 @@ def test_timeout_reaps_slow_jobs_then_retries_to_success():
     assert report.ok()
 
 
+def _casualty_plan(job_a, job_b):
+    """A seed where A's attempt 1 kills its worker, attempt 2 raises and
+    attempt 3 is clean, while B is clean at attempts 1-3.
+
+    Searched deterministically, like :func:`_acceptance_plan`.
+    """
+    for seed in range(50_000):
+        plan = FaultPlan(seed=seed, worker_death=0.5, job_exception=0.5)
+        a, b = job_a.fingerprint, job_b.fingerprint
+        if (plan.would_fail("worker_death", a, 1)
+                and not plan.would_fail("worker_death", a, 2)
+                and plan.would_fail("job_exception", a, 2)
+                and not any(plan.would_fail(kind, a, 3)
+                            for kind in ("worker_death", "job_exception"))
+                and not any(plan.would_fail(kind, b, attempt)
+                            for kind in ("worker_death", "job_exception")
+                            for attempt in (1, 2, 3))):
+            return plan
+    raise AssertionError("no qualifying seed in range — widen the search")
+
+
+def test_pool_casualty_costs_no_retry_attempt():
+    cfg = ExperimentConfig(instructions=300)
+    jobs = [SimJob("in-order", w, cfg) for w in ("mesa_like", "gzip_like")]
+    clean = _clean(jobs)
+    report = CampaignReport()
+    # Two attempts allowed: A's own failure (attempt 2) is its first,
+    # because losing its worker at attempt 1 was the pool's fault.
+    policy = RetryPolicy(max_attempts=2, max_pool_breaks=5,
+                         backoff_base=0.0)
+    with injected_faults(_casualty_plan(*jobs)):
+        results = run_jobs(jobs, workers=2, memo=False, store=False,
+                           report=report, policy=policy)
+    assert report.pool_breaks == 1
+    assert report.retries == 1
+    assert report.ok()
+    assert _payloads(results) == _payloads(clean)
+
+
 def test_prewarm_failure_is_isolated_to_its_workload():
     cfg = ExperimentConfig(instructions=304)
     jobs = [SimJob(m, w, cfg)
@@ -171,6 +211,65 @@ def test_prewarm_failure_is_isolated_to_its_workload():
     assert by_workload["doom_like"] == [None, None]
     assert len(report.failures) == 2
     assert all(f.kind == "trace" for f in report.failures)
+
+
+def _single_kind_plan(kind, jobs, attempts):
+    """A seed where ``kind`` alone fires on some job's first attempt (or
+    first record write) but never on all ``attempts`` of one job.
+
+    Searched deterministically, like :func:`_acceptance_plan`.
+    """
+    for seed in range(1000):
+        plan = FaultPlan(seed=seed, **{kind: 0.3})
+        if kind.startswith("store_"):
+            if any(plan.roll(kind, j.fingerprint + ".json", 0)
+                   for j in jobs):
+                return plan
+            continue
+        keys = [j.fingerprint for j in jobs]
+        if (any(plan.would_fail(kind, key) for key in keys)
+                and not any(all(plan.would_fail(kind, key, n)
+                                for n in range(1, attempts + 1))
+                            for key in keys)):
+            return plan
+    raise AssertionError("no qualifying seed in range — widen the search")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_each_fault_kind_alone_leaves_a_pool_campaign_byte_identical(
+        tmp_path, kind):
+    jobs = _jobs(instructions=317)
+    clean = _clean(jobs)
+    plan = _single_kind_plan(kind, jobs, RetryPolicy().max_attempts)
+    store = ResultStore(str(tmp_path / "store"))
+    report = CampaignReport()
+    with injected_faults(plan) as injector:
+        faulty = run_jobs(jobs, workers=2, memo=False, store=store,
+                          report=report)
+    assert _payloads(faulty) == _payloads(clean)
+    assert report.ok()
+    # The fault really fired (worker-side kinds count in the worker, so
+    # their evidence is what the coordinator absorbed).
+    if kind == "worker_death":
+        assert report.pool_breaks >= 1
+    elif kind == "job_exception":
+        assert report.retries >= 1
+    elif kind.startswith("store_"):
+        assert injector.counts[kind] >= 1
+
+    # A second pooled run serves every intact record and recomputes
+    # exactly the torn ones: byte-identical again.
+    resumed_report = CampaignReport()
+    resumed = run_jobs(jobs, workers=2, memo=False, store=store,
+                       report=resumed_report)
+    assert _payloads(resumed) == _payloads(clean)
+    assert resumed_report.store_hits + resumed_report.computed == len(jobs)
+    if kind.startswith("store_"):
+        assert resumed_report.computed >= 1
+        assert store.quarantined == resumed_report.computed
+    else:
+        assert resumed_report.computed == 0
 
 
 def _acceptance_plan(jobs):

@@ -120,60 +120,9 @@ def test_cache_gc_requires_older_than(capsys):
     assert "gc:" in out
 
 
-# ----------------------------------------------------------------------
-# the campaign fabric through the CLI
-# ----------------------------------------------------------------------
-def test_parser_knows_the_fabric_surface():
-    parser = build_parser()
-    text = parser.format_help()
-    assert "campaign" in text and "worker" in text
-    args = parser.parse_args(["run", "mesa_like", "icfp", "--fabric", "2"])
-    assert args.fabric == 2
-    args = parser.parse_args(["worker", "--ledger", "abcd", "--index", "3"])
-    assert args.ledger == "abcd" and args.index == 3
-
-
-def test_campaign_submit_status_drain_join_round_trip(capsys):
-    # submit: durably ledger the grid without running a single job.
-    out = run_cli(capsys, "campaign", "submit", "-w", "mesa_like",
-                  "-n", "430")
-    assert "ledgered" in out
-    prefix = out.split()[1].rstrip(":")
-    assert len(prefix) == 16
-
-    out = run_cli(capsys, "campaign", "status")
-    assert prefix in out and "0/5 done" in out
-
-    # worker: one CLI worker process drains the whole ledger.
-    run_cli(capsys, "worker", "--ledger", prefix)
-    out = run_cli(capsys, "campaign", "status", prefix)
-    assert "5/5 done" in out
-
-    # join: the coordinator adopts every drained cell from the store.
-    out = run_cli(capsys, "campaign", "join", "-w", "mesa_like",
-                  "-n", "430", "--fabric", "1")
-    assert "campaign joined: 5/5 cells settled" in out
-    assert "(0 computed, 5 from store)" in out
-
-
-def test_campaign_status_with_no_ledgers(capsys):
-    out = run_cli(capsys, "campaign", "status")
-    assert "no campaign ledgers" in out
-
-
-def test_worker_rejects_unknown_ledger():
-    with pytest.raises(SystemExit):
-        main(["worker", "--ledger", "feedfacedeadbeef"])
-
-
-def test_campaign_needs_the_disk_store(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", "0")
-    with pytest.raises(SystemExit):
-        main(["campaign", "submit", "-w", "mesa_like", "-n", "430"])
-
-
 @pytest.mark.slow
-def test_sigint_mid_campaign_exits_130_with_a_report(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sigint_mid_campaign_exits_130_with_a_report(tmp_path, jobs):
     import signal
     import subprocess
     import sys as _sys
@@ -185,10 +134,12 @@ def test_sigint_mid_campaign_exits_130_with_a_report(tmp_path):
                REPRO_CACHE_DIR=str(tmp_path / "store"),
                # crawl so the interrupt lands mid-campaign
                REPRO_FAULTS="slow=1.0,slow_seconds=0.4",
-               REPRO_JOBS="1")
+               REPRO_JOBS=jobs)
+    # Three workloads, not one: two pool workers would finish
+    # mesa_like's five cells alone before the 2 s interrupt.
     proc = subprocess.Popen(
-        [_sys.executable, "-m", "repro", "figure5", "-w", "mesa_like",
-         "-n", "600"],
+        [_sys.executable, "-m", "repro", "figure5", "-w",
+         "mesa_like,gzip_like,crafty_like", "-n", "600"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True)
     try:

@@ -1,4 +1,4 @@
-"""The observability CLI surface: --trace/--report, obs, top, watch."""
+"""The observability CLI surface: --trace/--report and obs."""
 
 import json
 import os
@@ -20,15 +20,12 @@ def store_root():
 def test_parser_knows_the_obs_surface():
     parser = build_parser()
     text = parser.format_help()
-    assert "obs" in text and "top" in text
+    assert "obs" in text
     args = parser.parse_args(["run", "mesa_like", "icfp", "--trace",
                               "--report"])
     assert args.trace and args.report
     args = parser.parse_args(["obs", "export", "--chrome", "-o", "t.json"])
     assert args.action == "export" and args.chrome
-    args = parser.parse_args(["campaign", "status", "--watch",
-                              "--interval", "0.5"])
-    assert args.watch and args.interval == 0.5
 
 
 def test_human_bytes():
@@ -97,32 +94,3 @@ def test_cache_stats_human_sizes_and_hit_rate(capsys):
     out = run_cli(capsys, "cache", "stats").out
     assert "KiB" in out or " B" in out
     assert "hit rate" in out
-
-
-def test_top_once_with_no_ledgers(capsys):
-    out = run_cli(capsys, "top", "--once").out
-    assert "no campaign ledgers found" in out
-
-
-def test_top_once_renders_a_submitted_campaign(capsys):
-    run_cli(capsys, "campaign", "submit", "-w", "mesa_like", "-n", "480")
-    out = run_cli(capsys, "top", "--once").out
-    assert "0/5 done (0%)" in out
-    assert "\x1b" not in out  # --once never clears the screen
-
-
-def test_campaign_status_reports_initialising_on_torn_manifest(capsys):
-    # Satellite fix: a mid-write manifest must render as initialising,
-    # not crash the status command.
-    # A coordinator mid-create writes manifest.pkl first, then the
-    # json manifest: freeze that window.
-    import pickle
-
-    root = os.path.join(store_root(), "fabric", "feedface00000000")
-    os.makedirs(root)
-    with open(os.path.join(root, "manifest.pkl"), "wb") as handle:
-        pickle.dump([], handle)
-    with open(os.path.join(root, "manifest.json"), "w") as handle:
-        handle.write('{"campaign": "feedface00000000", "tot')
-    out = run_cli(capsys, "campaign", "status").out
-    assert "initialising" in out

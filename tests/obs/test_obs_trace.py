@@ -3,7 +3,7 @@
 The zero-overhead side of the observation-only law: with no activation,
 ``span()``/``event()`` are a single module-global check returning a
 shared no-op.  When on, every record is one appended, flushed JSON line
-— crash-safe like the ledger — and the reader skips torn lines.
+— so a crash tears at most one — and the reader skips torn lines.
 """
 
 import json
@@ -11,7 +11,7 @@ import os
 import threading
 
 from repro.obs import trace as obs_trace
-from repro.obs.trace import Tracer, iter_events, obs_log_paths
+from repro.obs.trace import Tracer, iter_events
 
 
 def _records(path):
@@ -99,17 +99,6 @@ def test_refresh_plain_one_uses_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
     tracer = obs_trace.refresh()
     assert tracer.root == str(tmp_path / "obs")
-
-
-def test_set_label_renames_the_track(tmp_path):
-    tracer = obs_trace.activate(str(tmp_path), label="proc")
-    obs_trace.event("first")
-    tracer.set_label("worker-w3")
-    obs_trace.event("second")
-    assert os.path.basename(tracer.path).startswith("worker-w3-")
-    names = [os.path.basename(p) for p in obs_log_paths(str(tmp_path))]
-    assert any(n.startswith("proc-") for n in names)
-    assert any(n.startswith("worker-w3-") for n in names)
 
 
 def test_iter_events_skips_torn_and_junk_lines(tmp_path):
