@@ -11,7 +11,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Fast-profile knobs (override on the command line as needed).
 SMOKE_INSTRUCTIONS ?= 1200
 SMOKE_WORKLOADS ?= mcf_like,mesa_like,equake_like,gzip_like
-SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/faults tests/harness tests/engine tests/workloads tests/wgen tests/stats tests/obs
+SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/faults tests/harness \
+	tests/engine tests/workloads tests/wgen tests/stats tests/obs tests/branch \
+	tests/memory tests/pipeline tests/baselines tests/core tests/integration
 # Smoke deselects @pytest.mark.slow (wide fixed-budget grids that ignore
 # the REPRO_* fast profile); the full suite always runs them.
 SMOKE_MARKERS ?= not slow

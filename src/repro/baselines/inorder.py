@@ -38,25 +38,21 @@ class InOrderCore(CoreModel):
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            try_issue = self.try_issue
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if try_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
-                progress = True
-                slots -= 1
-        self._progress = progress
+        head = start = self.fetch_head
+        cursor = self.cursor
+        end = head + self._width
+        if end > cursor:
+            end = cursor
+        decode_ready = self._decode_ready
+        while (head < end and decode_ready[head] <= cycle
+               and self.try_issue(head) is ISSUED):
+            head += 1
+        self.fetch_head = head
+        self._progress = head != start
         # do_fetch (shared body; guard saves the call when idle)
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
+                and cursor < self._trace_len
+                and cursor - head < self._fq_depth):
             self.do_fetch()
         # store drain
         store_queue = self.store_queue

@@ -13,7 +13,7 @@ Configuration per Section 5.1: advances under all L2 misses and under
 
 from __future__ import annotations
 
-from ..engine.base import FetchEntry, ISSUED, STALLED
+from ..engine.base import ISSUED, STALLED
 from ..functional.trace import DynInst
 from .runahead import RUNAHEAD, RunaheadCore
 
@@ -34,39 +34,38 @@ class MultipassCore(RunaheadCore):
         self.result_reuses = 0
 
     # ------------------------------------------------------------------
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """A reusable head waits for nothing but decode: the saved
         result breaks its data dependences (:meth:`_issue_reused` checks
         only port availability, which the leap never waits on)."""
-        if entry.dyn.index in self._results:
-            return entry.decode_ready
-        return super()._head_wakeup(entry)
+        if idx in self._results:
+            return self._decode_ready[idx]
+        return super()._head_wakeup(idx)
 
     # Runahead's per-cycle body, bound on this class too so class-level
     # probes (benchmarks/perf) can wrap each model's step separately.
-    # Result reuse hooks in through the two mode-bound issue methods
-    # below (explicit base calls: cheaper than super() per attempt).
+    # Result reuse hooks in through the two mode issue methods below
+    # (explicit base calls: cheaper than super() per attempt).
     step_cycle = RunaheadCore.step_cycle
 
-    def _try_issue_normal(self, entry: FetchEntry) -> str:
-        if entry.dyn.index in self._results:
-            return self._issue_reused(entry)
-        return RunaheadCore._try_issue_normal(self, entry)
+    def _try_issue_normal(self, idx: int) -> str:
+        if idx in self._results:
+            return self._issue_reused(idx)
+        return RunaheadCore._try_issue_normal(self, idx)
 
-    def _try_issue_runahead(self, entry: FetchEntry) -> str:
-        if entry.dyn.index in self._results:
-            return self._issue_reused(entry)
-        return RunaheadCore._try_issue_runahead(self, entry)
+    def _try_issue_runahead(self, idx: int) -> str:
+        if idx in self._results:
+            return self._issue_reused(idx)
+        return RunaheadCore._try_issue_runahead(self, idx)
 
-    def _issue_reused(self, entry: FetchEntry) -> str:
+    def _issue_reused(self, idx: int) -> str:
         """Replay an instruction whose result a previous pass recorded.
 
         The saved result breaks the data dependence: no source wait, no
         cache access, single-cycle completion.  It still occupies an
         issue slot and port (Multipass re-processes everything).
         """
-        dyn = entry.dyn
-        idx = dyn.index
+        dyn = self._insts[idx]
         ports = self.ports
         if self._port_int[idx]:
             if ports.int_free <= 0:
@@ -90,7 +89,7 @@ class MultipassCore(RunaheadCore):
                 self._phase_advance(idx)
             if dyn.is_control:
                 self.predictor.update(dyn)
-                if not entry.predicted_ok:
+                if not self._predicted_ok[idx]:
                     self.fetch_blocked = False
                     self.fetch_resume_cycle = completion
                     self._last_fetch_line = -1
@@ -106,7 +105,7 @@ class MultipassCore(RunaheadCore):
             if dst is not None:
                 self.reg_ready[dst] = completion
             self._results.discard(idx)  # consumed architecturally
-            self.commit(dyn, entry, completion)
+            self.commit(dyn, completion)
         return ISSUED
 
     # ------------------------------------------------------------------

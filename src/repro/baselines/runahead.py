@@ -20,7 +20,7 @@ Configurations follow Section 5.1 / Figure 6:
 
 from __future__ import annotations
 
-from ..engine.base import CoreModel, FetchEntry, ISSUED, STALLED
+from ..engine.base import CoreModel, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import ZERO_REG
 from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
@@ -50,10 +50,14 @@ class RunaheadCore(CoreModel):
         self._trigger_ready = 0
         self._ckpt_cursor = 0
         self._ckpt_reg_ready: list[int] | None = None
-        #: Mode-bound issue path (rebound on mode transitions) — saves a
+        #: Mode issue path (swapped on mode transitions) — saves a
         #: dispatch hop per issue attempt on the hot path.  Subclasses
-        #: hook issue by overriding the two methods it binds.
-        self._mode_issue = self._try_issue_normal
+        #: hook issue by overriding the two ``_try_issue_*`` methods.
+        #: It holds the class function, called as
+        #: ``self._mode_issue(self, idx)``: a bound method here would
+        #: make every core a reference cycle, alive until the cycle
+        #: collector runs.
+        self._mode_issue = type(self)._try_issue_normal
 
     # ==================================================================
     # mode control
@@ -64,18 +68,18 @@ class RunaheadCore(CoreModel):
             return self._trigger_ready
         return None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """Match :meth:`_try_issue_runahead`'s stall rules while running
         ahead: shadow-poisoned sources never wait on the scoreboard (they
         poison-propagate instead) and there is no WAW/destination stall.
         The base rule would overestimate the wake-up — and an
         overestimated horizon lets the leap skip issueable cycles."""
         if self.mode != RUNAHEAD:
-            return super()._head_wakeup(entry)
-        earliest = entry.decode_ready
+            return super()._head_wakeup(idx)
+        earliest = self._decode_ready[idx]
         shadow = self._shadow_poison
         reg_ready = self.reg_ready
-        for src in entry.dyn.srcs:
+        for src in self._srcs[idx]:
             if src not in shadow and reg_ready[src] > earliest:
                 earliest = reg_ready[src]
         return earliest
@@ -86,7 +90,7 @@ class RunaheadCore(CoreModel):
         return (
             self.mode == NORMAL
             and self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fetch_head == self.cursor
             and self.store_queue.empty
             and self.cycle >= self.last_completion
         )
@@ -115,7 +119,7 @@ class RunaheadCore(CoreModel):
 
     def _enter_runahead(self, dyn: DynInst, result: MemResult) -> None:
         self.mode = RUNAHEAD
-        self._mode_issue = self._try_issue_runahead
+        self._mode_issue = type(self)._try_issue_runahead
         self._trigger_ready = result.ready_cycle
         self._ckpt_cursor = dyn.index
         self._ckpt_reg_ready = list(self.reg_ready)
@@ -125,9 +129,8 @@ class RunaheadCore(CoreModel):
     def _exit_runahead(self) -> None:
         """The triggering miss returned: discard everything and replay."""
         self.mode = NORMAL
-        self._mode_issue = self._try_issue_normal
-        self.cursor = self._ckpt_cursor
-        self.fetch_queue.clear()
+        self._mode_issue = type(self)._try_issue_normal
+        self.cursor = self.fetch_head = self._ckpt_cursor
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
@@ -157,29 +160,26 @@ class RunaheadCore(CoreModel):
             self.returned_mshrs = NO_MSHRS
         if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
             self._exit_runahead()
-        # in-order issue through the mode-bound path, re-read per
+        # in-order issue through the mode's path, re-read per
         # iteration: an issue can start a runahead period mid-cycle
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if self._mode_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
-                progress = True
-                slots -= 1
-        self._progress = progress
+        head = start = self.fetch_head
+        cursor = self.cursor
+        end = head + self._width
+        if end > cursor:
+            end = cursor
+        decode_ready = self._decode_ready
+        while (head < end and decode_ready[head] <= cycle
+               and self._mode_issue(self, head) is ISSUED):
+            head += 1
+        self.fetch_head = head
+        self._progress = head != start
         # do_fetch (shared body; guard saves the call when idle)
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
+                and cursor < self._trace_len
+                and cursor - head < self._fq_depth):
             self.do_fetch()
         # store drain
         store_queue = self.store_queue
@@ -189,9 +189,8 @@ class RunaheadCore(CoreModel):
         if not self._progress:
             self._leap_to_horizon()
 
-    def _try_issue_normal(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
-        idx = dyn.index
+    def _try_issue_normal(self, idx: int) -> str:
+        dyn = self._insts[idx]
         cycle = self.cycle
         ports = self.ports
         port_int = self._port_int[idx]
@@ -259,15 +258,14 @@ class RunaheadCore(CoreModel):
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         return ISSUED
 
     # ------------------------------------------------------------------
     # runahead mode
     # ------------------------------------------------------------------
-    def _try_issue_runahead(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
-        idx = dyn.index
+    def _try_issue_runahead(self, idx: int) -> str:
+        dyn = self._insts[idx]
         cycle = self.cycle
         shadow = self._shadow_poison
         reg_ready = self.reg_ready
@@ -328,7 +326,7 @@ class RunaheadCore(CoreModel):
         self._runahead_writeback(dyn, poisoned, completion)
         if dyn.is_control:
             self.predictor.update(dyn)
-            if not entry.predicted_ok:
+            if not self._predicted_ok[idx]:
                 if poisoned:
                     # Wrong path with no way to recover until the period
                     # ends; fetch stays blocked.

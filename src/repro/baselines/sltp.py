@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.icfp import ADVANCE, ICFPCore, ICFPFeatures
-from ..engine.base import FetchEntry, ISSUED, STALLED
+from ..engine.base import ISSUED
 from ..functional.trace import DynInst
 from ..isa.instructions import OpClass
 
@@ -64,9 +64,8 @@ class SLTPCore(ICFPCore):
     # ------------------------------------------------------------------
     # SRL behaviours layered over the shared engine
     # ------------------------------------------------------------------
-    def _advance_store(self, dyn: DynInst, entry: FetchEntry,
-                       src_poison: int) -> str:
-        status = super()._advance_store(dyn, entry, src_poison)
+    def _advance_store(self, dyn: DynInst, src_poison: int) -> str:
+        status = super()._advance_store(dyn, src_poison)
         if status is ISSUED and self.mode == ADVANCE:
             addr_poison = self.main_rf.poison[dyn.srcs[0]]
             if not addr_poison:

@@ -11,6 +11,8 @@ a misprediction).
 
 from __future__ import annotations
 
+_HISTORY_MASK = (1 << 64) - 1
+
 
 def _fold(value: int, bits: int) -> int:
     """Fold an arbitrarily long integer into ``bits`` bits by XOR."""
@@ -56,14 +58,17 @@ class PPMPredictor:
         self.mispredicts = 0
         #: Index/tag computation is a pure function of (pc, the longest
         #: history window); loops re-predict the same few branches under
-        #: recurring history patterns, so memoize it (bounded).
-        self._longest_mask = (1 << max(history_lengths)) - 1
-        self._index_memo: dict = {}
+        #: recurring history patterns, so memoize it (bounded), keyed by
+        #: the one int ``(pc << longest) | window``.
+        self._longest = max(history_lengths)
+        self._longest_mask = (1 << self._longest) - 1
+        self._index_memo: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def _indices(self, pc: int):
-        """(base_index, [(table, index, tag), ...]) for ``pc``."""
-        key = (pc, self.history & self._longest_mask)
+        """(base_index, ((level, index, tag), ...)) for ``pc``, the tagged
+        levels longest history first (the order lookups probe them)."""
+        key = (pc << self._longest) | (self.history & self._longest_mask)
         memo = self._index_memo
         cached = memo.get(key)
         if cached is not None:
@@ -78,47 +83,63 @@ class PPMPredictor:
             tagged.append((level, index, tag))
         if len(memo) >= (1 << 16):
             memo.clear()
-        result = memo[key] = (base_index, tagged)
+        result = memo[key] = (base_index, tuple(reversed(tagged)))
         return result
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc``."""
         self.lookups += 1
         base_index, tagged = self._indices(pc)
-        for level, index, tag in reversed(tagged):  # longest history first
+        for level, index, tag in tagged:
             if self.valid_table[level][index] and self.tag_table[level][index] == tag:
                 return self.counter_table[level][index] >= 0
         return self.base[base_index] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        """Train on the resolved outcome and advance global history."""
+        """Train on the resolved outcome and advance global history.
+
+        Counters saturate: tagged ones at -2..1, base ones at 0..3,
+        usefulness at 3.
+        """
         base_index, tagged = self._indices(pc)
         provider_level = None
-        for level, index, tag in reversed(tagged):
+        for level, index, tag in tagged:
             if self.valid_table[level][index] and self.tag_table[level][index] == tag:
                 provider_level = level
                 counters = self.counter_table[level]
-                predicted = counters[index] >= 0
-                counters[index] = _saturate(counters[index] + (1 if taken else -1), -2, 1)
+                count = counters[index]
+                predicted = count >= 0
+                if taken:
+                    if count < 1:
+                        counters[index] = count + 1
+                elif count > -2:
+                    counters[index] = count - 1
                 if predicted == taken:
                     useful = self.useful_table[level]
-                    useful[index] = min(useful[index] + 1, 3)
+                    if useful[index] < 3:
+                        useful[index] += 1
                 break
         else:
-            predicted = self.base[base_index] >= 2
-            self.base[base_index] = _saturate(
-                self.base[base_index] + (1 if taken else -1), 0, 3
-            )
+            base = self.base
+            count = base[base_index]
+            predicted = count >= 2
+            if taken:
+                if count < 3:
+                    base[base_index] = count + 1
+            elif count > 0:
+                base[base_index] = count - 1
 
         if predicted != taken:
             self.mispredicts += 1
             self._allocate(tagged, provider_level, taken)
-        self.history = ((self.history << 1) | (1 if taken else 0)) & ((1 << 64) - 1)
+        self.history = ((self.history << 1) | (1 if taken else 0)) & _HISTORY_MASK
 
     def _allocate(self, tagged, provider_level, taken: bool) -> None:
-        """On a mispredict, claim an entry in a longer-history table."""
-        start = 0 if provider_level is None else provider_level + 1
-        for level, index, tag in tagged[start:]:
+        """On a mispredict, claim an entry in a longer-history table,
+        trying the shortest such history first."""
+        longer = (len(tagged) if provider_level is None
+                  else len(tagged) - 1 - provider_level)
+        for level, index, tag in reversed(tagged[:longer]):
             useful = self.useful_table[level]
             if not self.valid_table[level][index] or useful[index] == 0:
                 self.tag_table[level][index] = tag
@@ -133,7 +154,3 @@ class PPMPredictor:
         if not self.lookups:
             return 1.0
         return 1.0 - self.mispredicts / self.lookups
-
-
-def _saturate(value: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, value))

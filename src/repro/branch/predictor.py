@@ -36,30 +36,24 @@ class BranchPredictor:
         front end.
         """
         self.predictions += 1
-        op = dyn.op
-        if op is Opcode.JAL:
-            self.ras.push(dyn.pc + 4)
-            correct = True  # direct call: target known at decode
-        elif op is Opcode.JR:
+        if dyn.is_branch:
+            # Direct conditional branches carry their target in the
+            # instruction, so direction is the only source of error.
+            if self.ppm.predict(dyn.pc) == dyn.taken:
+                return True
+        else:
+            op = dyn.op
+            if op is not Opcode.JR:
+                if op is Opcode.JAL:
+                    self.ras.push(dyn.pc + 4)
+                return True  # direct jump or call: target known at decode
             predicted_target = self.ras.pop()
             if predicted_target is None:
                 predicted_target = self.btb.predict(dyn.pc)
-            correct = predicted_target == dyn.target_pc
-        elif op is Opcode.J:
-            correct = True  # direct jump: target known at decode
-        elif dyn.is_branch:
-            taken_pred = self.ppm.predict(dyn.pc)
-            if taken_pred == dyn.taken:
-                correct = True
-            else:
-                correct = False
-            # Direct conditional branches carry their target in the
-            # instruction, so direction is the only source of error.
-        else:
-            correct = True
-        if not correct:
-            self.mispredictions += 1
-        return correct
+            if predicted_target == dyn.target_pc:
+                return True
+        self.mispredictions += 1
+        return False
 
     def update(self, dyn: DynInst) -> None:
         """Train predictor state with the resolved outcome."""

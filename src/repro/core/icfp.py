@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.base import CoreModel, FetchEntry, ISSUED, STALLED
+from ..engine.base import CoreModel, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import NUM_REGS, ZERO_REG
 from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
@@ -102,9 +102,12 @@ class ICFPCore(CoreModel):
         f = self.features
         self._mt_rally = f.mt_rally
         self.mode = NORMAL
-        #: Mode-bound issue path (rebound on every mode transition) —
-        #: saves the mode dispatch per issue attempt on the hot path.
-        self._mode_issue = self._try_issue_normal
+        #: Mode issue path (swapped on every mode transition) — saves
+        #: the mode dispatch per issue attempt on the hot path.  It holds
+        #: the class function, called as ``self._mode_issue(self, idx)``:
+        #: a bound method here would make every core a reference cycle,
+        #: alive until the cycle collector runs.
+        self._mode_issue = type(self)._try_issue_normal
         self.main_rf = MainRegFile()
         self.scratch_rf = ScratchRegFile()
         self.slice = SliceBuffer(f.slice_entries)
@@ -176,8 +179,8 @@ class ICFPCore(CoreModel):
                         self.pending_rally_mask |= stale
                 if self.pending_rally_mask and self.slice._active:
                     self._start_rally_pass()
-        # rally slot, then in-order tail issue through the mode-bound
-        # path (re-read per iteration: an issue can flip the mode)
+        # rally slot, then in-order tail issue through the mode's path
+        # (re-read per iteration: an issue can flip the mode)
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -195,22 +198,25 @@ class ICFPCore(CoreModel):
                 progress = True
             if not self._mt_rally:
                 run_tail = False  # tail blocked while a rally is in flight
-        fetch_queue = self.fetch_queue
-        if run_tail and fetch_queue:
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if self._mode_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
+        # The window is read after the rally step: a squash resets it.
+        head = start = self.fetch_head
+        cursor = self.cursor
+        if run_tail:
+            end = head + slots
+            if end > cursor:
+                end = cursor
+            decode_ready = self._decode_ready
+            while (head < end and decode_ready[head] <= cycle
+                   and self._mode_issue(self, head) is ISSUED):
+                head += 1
+            if head != start:
+                self.fetch_head = head
                 progress = True
-                slots -= 1
         self._progress = progress
         # do_fetch (shared body; guard saves the call when idle)
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
+                and cursor < self._trace_len
+                and cursor - head < self._fq_depth):
             self.do_fetch()
         # gated store-buffer drain + mode-exit checks
         checkpoint = self.checkpoint
@@ -246,7 +252,7 @@ class ICFPCore(CoreModel):
         return (
             self.mode == NORMAL
             and self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fetch_head == self.cursor
             and self.sb.empty
             and self.cycle >= self.last_completion
         )
@@ -280,7 +286,7 @@ class ICFPCore(CoreModel):
             hints.append(drain)
         return min(hints) if hints else None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """Mode-exact wake-up of the issue head (leap contract: never
         later than the cycle the issue path would accept the entry).
 
@@ -291,21 +297,22 @@ class ICFPCore(CoreModel):
           other source (including main-poisoned ones, which the issue
           path checks only after the scoreboard) waits; no WAW stall.
         """
-        earliest = entry.decode_ready
+        earliest = self._decode_ready[idx]
+        srcs = self._srcs[idx]
         reg_ready = self.reg_ready
         mode = self.mode
         if mode == SIMPLE_RA:
             shadow = self._shadow_poison
-            for src in entry.dyn.srcs:
+            for src in srcs:
                 if src not in shadow and reg_ready[src] > earliest:
                     earliest = reg_ready[src]
             return earliest
         poison = self.main_rf.poison
         normal = mode == NORMAL
-        for src in entry.dyn.srcs:
+        for src in srcs:
             if (normal or not poison[src]) and reg_ready[src] > earliest:
                 earliest = reg_ready[src]
-        dst = entry.dyn.dst
+        dst = self._dst[idx]
         if (normal and dst is not None and dst != ZERO_REG
                 and reg_ready[dst] > earliest):
             earliest = reg_ready[dst]
@@ -317,9 +324,8 @@ class ICFPCore(CoreModel):
     # ------------------------------------------------------------------
     # normal mode
     # ------------------------------------------------------------------
-    def _try_issue_normal(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
-        idx = dyn.index
+    def _try_issue_normal(self, idx: int) -> str:
+        dyn = self._insts[idx]
         cycle = self.cycle
         reg_ready = self.reg_ready
         ports = self.ports
@@ -351,19 +357,19 @@ class ICFPCore(CoreModel):
 
         kind = self._kind[idx]
         if kind == KIND_LOAD:
-            return self._normal_load(dyn, entry)
+            return self._normal_load(dyn)
         if kind == KIND_STORE:
             if self.sb.full:
                 self.stats.stalls.store_buffer_full += 1
                 return STALLED
             self.sb.allocate(dyn.addr, dyn.store_val, 0, -1)
-            self._finish_issue(dyn, entry, cycle + 1)
+            self._finish_issue(dyn, cycle + 1)
             return ISSUED
         completion = cycle + self._exec_done[idx]
-        self._finish_issue(dyn, entry, completion)
+        self._finish_issue(dyn, completion)
         return ISSUED
 
-    def _normal_load(self, dyn: DynInst, entry: FetchEntry) -> str:
+    def _normal_load(self, dyn: DynInst) -> str:
         fwd = self.sb.forward(dyn.addr)
         if fwd is not None:
             if type(fwd) is IndexedStall:
@@ -372,13 +378,13 @@ class ICFPCore(CoreModel):
             self.stats.store_forward_hits += 1
             self.stats.store_forward_hops += fwd.excess_hops
             self._check_forward(fwd, dyn)
-            self._finish_issue(dyn, entry, self.cycle + self._l1d_hit_latency
+            self._finish_issue(dyn, self.cycle + self._l1d_hit_latency
                                + fwd.excess_hops)
             return ISSUED
         ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
         if ready is not None:
             # L1 hit: record_miss is a no-op and never advance-qualifying.
-            self._finish_issue(dyn, entry, ready)
+            self._finish_issue(dyn, ready)
             return ISSUED
         result = self.hierarchy.data_access(dyn.addr, self.cycle)
         if result.stalled:
@@ -387,19 +393,19 @@ class ICFPCore(CoreModel):
         self.record_miss(result, dyn.index)
         if self._qualifies_for_advance(result):
             # The defining transition: checkpoint and keep flowing.
-            self._enter_advance()
+            self._enter_advance(dyn.index)
             self.ports.mem_free -= 1
-            return self._advance_missing_load(dyn, entry, result)
-        self._finish_issue(dyn, entry, result.ready_cycle)
+            return self._advance_missing_load(dyn, result)
+        self._finish_issue(dyn, result.ready_cycle)
         return ISSUED
 
-    def _finish_issue(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def _finish_issue(self, dyn: DynInst, completion: int) -> None:
         """Common issue epilogue for normal-mode instructions."""
         if self._port_int[dyn.index]:
             self.ports.int_free -= 1
         else:
             self.ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         if dyn.dst is not None:
             if self.mode == NORMAL:
                 self.main_rf.write_normal(dyn.dst, dyn.result)
@@ -410,9 +416,8 @@ class ICFPCore(CoreModel):
     # ------------------------------------------------------------------
     # advance mode
     # ------------------------------------------------------------------
-    def _try_issue_advance(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
-        idx = dyn.index
+    def _try_issue_advance(self, idx: int) -> str:
+        dyn = self._insts[idx]
         poison_of = self.main_rf.poison
         reg_ready = self.reg_ready
         cycle = self.cycle
@@ -447,11 +452,11 @@ class ICFPCore(CoreModel):
 
         kind = self._kind[idx]
         if kind == KIND_STORE:
-            return self._advance_store(dyn, entry, src_poison)
+            return self._advance_store(dyn, src_poison)
 
         if src_poison:
             # Miss-dependent: divert to the slice buffer.
-            return self._capture_slice(dyn, entry, src_poison)
+            return self._capture_slice(dyn, src_poison)
 
         # Miss-independent: execute and commit.
         ports = self.ports
@@ -464,16 +469,16 @@ class ICFPCore(CoreModel):
             self.stats.stalls.port += 1
             return STALLED
         if kind == KIND_LOAD:
-            return self._advance_load(dyn, entry)
+            return self._advance_load(dyn)
         completion = cycle + self._exec_done[idx]
         if port_int:
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self._commit_advance(dyn, entry, completion)
+        self._commit_advance(dyn, completion)
         return ISSUED
 
-    def _advance_load(self, dyn: DynInst, entry: FetchEntry) -> str:
+    def _advance_load(self, dyn: DynInst) -> str:
         fwd = self.sb.forward(dyn.addr)
         if fwd is not None:
             if type(fwd) is IndexedStall:
@@ -483,10 +488,10 @@ class ICFPCore(CoreModel):
             self.stats.store_forward_hops += fwd.excess_hops
             if fwd.poison:
                 # Forwarding from a miss-dependent store poisons the load.
-                return self._capture_slice(dyn, entry, fwd.poison)
+                return self._capture_slice(dyn, fwd.poison)
             self._check_forward(fwd, dyn)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, self.cycle + self._l1d_hit_latency
+            self._commit_advance(dyn, self.cycle + self._l1d_hit_latency
                                  + fwd.excess_hops)
             return ISSUED
         ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
@@ -494,7 +499,7 @@ class ICFPCore(CoreModel):
             # L1 hit: cache-sourced, never advance-qualifying.
             self.signature.insert(dyn.addr)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, ready)
+            self._commit_advance(dyn, ready)
             return ISSUED
         result = self.hierarchy.data_access(dyn.addr, self.cycle)
         if result.stalled:
@@ -503,21 +508,19 @@ class ICFPCore(CoreModel):
         self.record_miss(result, dyn.index)
         if self._qualifies_for_advance(result):
             self.ports.mem_free -= 1
-            return self._advance_missing_load(dyn, entry, result)
+            return self._advance_missing_load(dyn, result)
         # Cache-sourced value: vulnerable to external stores.
         self.signature.insert(dyn.addr)
         self.ports.mem_free -= 1
-        self._commit_advance(dyn, entry, result.ready_cycle)
+        self._commit_advance(dyn, result.ready_cycle)
         return ISSUED
 
-    def _advance_missing_load(self, dyn: DynInst, entry: FetchEntry,
-                              result: MemResult) -> str:
+    def _advance_missing_load(self, dyn: DynInst, result: MemResult) -> str:
         """A load whose miss we advance past: poison and slice it."""
         mask = self.poison_alloc.bit_for(result.mshr)
-        return self._capture_slice(dyn, entry, mask, self_poison=True)
+        return self._capture_slice(dyn, mask, self_poison=True)
 
-    def _advance_store(self, dyn: DynInst, entry: FetchEntry,
-                       src_poison: int) -> str:
+    def _advance_store(self, dyn: DynInst, src_poison: int) -> str:
         addr_src, data_src = dyn.srcs[0], dyn.srcs[1]
         addr_poison = self.main_rf.poison[addr_src]
         data_poison = self.main_rf.poison[data_src]
@@ -536,7 +539,7 @@ class ICFPCore(CoreModel):
                 return STALLED
             self.sb.allocate(dyn.addr, dyn.store_val, 0, self.next_seq)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, self.cycle + 1)
+            self._commit_advance(dyn, self.cycle + 1)
             return ISSUED
         # Data-poisoned store: hold a store-buffer slot (so younger loads
         # see the poison) and re-execute via the slice buffer.
@@ -544,9 +547,9 @@ class ICFPCore(CoreModel):
             self._enter_simple_ra(dyn.index, "slice_buffer_full")
             return STALLED
         ssn = self.sb.allocate(dyn.addr, None, data_poison, self.next_seq)
-        return self._capture_slice(dyn, entry, data_poison, ssn=ssn)
+        return self._capture_slice(dyn, data_poison, ssn=ssn)
 
-    def _capture_slice(self, dyn: DynInst, entry: FetchEntry, poison: int,
+    def _capture_slice(self, dyn: DynInst, poison: int,
                        self_poison: bool = False, ssn: int | None = None) -> str:
         """Divert a miss-dependent instruction into the slice buffer."""
         if self.slice.full:
@@ -563,7 +566,7 @@ class ICFPCore(CoreModel):
                 captured[src] = self.main_rf.values[src]
         slice_entry = SliceEntry(dyn, seq, captured, poison,
                                  ssn_limit=self.sb.ssn_tail,
-                                 predicted_ok=entry.predicted_ok,
+                                 predicted_ok=self._predicted_ok[dyn.index],
                                  producer_seq=producer_seq, ssn=ssn)
         self.slice.append(slice_entry)
         self.slice_by_seq[seq] = slice_entry
@@ -580,10 +583,9 @@ class ICFPCore(CoreModel):
         # mispredicted one leaves fetch blocked until its rally squashes.
         return ISSUED
 
-    def _commit_advance(self, dyn: DynInst, entry: FetchEntry,
-                        completion: int) -> None:
+    def _commit_advance(self, dyn: DynInst, completion: int) -> None:
         seq = self._take_seq()
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         self.stats.advance_instructions += 1
         if self._phase_of is not None:
             self._phase_advance(dyn.index)
@@ -806,10 +808,11 @@ class ICFPCore(CoreModel):
             return result.ready_cycle - self.cycle > threshold
         return False
 
-    def _enter_advance(self) -> None:
+    def _enter_advance(self, idx: int) -> None:
+        """Checkpoint at the triggering load (dynamic index ``idx``)."""
         self.main_rf.checkpoint()
         self.checkpoint = _Checkpoint(
-            cursor=0,  # patched below by the triggering load's entry
+            cursor=idx,
             ssn=self.sb.ssn_tail,
             cycle=self.cycle,
             committed=(self.stats.instructions, self.stats.loads,
@@ -819,11 +822,8 @@ class ICFPCore(CoreModel):
                 for p in self._phase_stats
             ),
         )
-        # The triggering load is at the head of the fetch queue.
-        if self.fetch_queue:
-            self.checkpoint.cursor = self.fetch_queue[0].dyn.index
         self.mode = ADVANCE
-        self._mode_issue = self._try_issue_advance
+        self._mode_issue = type(self)._try_issue_advance
         self.next_seq = 0
         self.stats.advance_entries += 1
 
@@ -839,7 +839,7 @@ class ICFPCore(CoreModel):
         self.main_rf.release()
         self.checkpoint = None
         self.mode = NORMAL
-        self._mode_issue = self._try_issue_normal
+        self._mode_issue = type(self)._try_issue_normal
         self.signature.clear()
         self.pending_rally_mask = 0
 
@@ -847,7 +847,7 @@ class ICFPCore(CoreModel):
         if self.mode == SIMPLE_RA:
             return
         self.mode = SIMPLE_RA
-        self._mode_issue = self._try_issue_simple_ra
+        self._mode_issue = type(self)._try_issue_simple_ra
         self.simple_ra_start = dyn_index
         self.fallback_reason = reason
         self._shadow_poison = set()
@@ -875,10 +875,9 @@ class ICFPCore(CoreModel):
         if not resume:
             return
         self.mode = ADVANCE
-        self._mode_issue = self._try_issue_advance
+        self._mode_issue = type(self)._try_issue_advance
         self.fallback_reason = None
-        self.cursor = self.simple_ra_start
-        self.fetch_queue.clear()
+        self.cursor = self.fetch_head = self.simple_ra_start
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
@@ -893,13 +892,12 @@ class ICFPCore(CoreModel):
         self.slice.flush()
         self.slice_by_seq.clear()
         self.sb.squash_to(ckpt.ssn)
-        self.cursor = ckpt.cursor
-        self.fetch_queue.clear()
+        self.cursor = self.fetch_head = ckpt.cursor
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
         self.mode = NORMAL
-        self._mode_issue = self._try_issue_normal
+        self._mode_issue = type(self)._try_issue_normal
         self.checkpoint = None
         self.signature.clear()
         self.rally_active = False
@@ -927,9 +925,8 @@ class ICFPCore(CoreModel):
     # ------------------------------------------------------------------
     # simple runahead (fallback) mode
     # ------------------------------------------------------------------
-    def _try_issue_simple_ra(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
-        idx = dyn.index
+    def _try_issue_simple_ra(self, idx: int) -> str:
+        dyn = self._insts[idx]
         cycle = self.cycle
         shadow = self._shadow_poison
         reg_ready = self.reg_ready
@@ -1010,7 +1007,7 @@ class ICFPCore(CoreModel):
                 reg_ready[dst] = completion
         if dyn.is_control:
             self.predictor.update(dyn)
-            if not entry.predicted_ok and not poisoned:
+            if not self._predicted_ok[idx] and not poisoned:
                 self.fetch_blocked = False
                 self.fetch_resume_cycle = completion
                 self._last_fetch_line = -1

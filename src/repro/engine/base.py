@@ -8,7 +8,11 @@ four things in one frame::
 
     1. miss returns and mode transitions
     2. in-order issue of up to ``width`` instructions
-    3. fetch (the shared :meth:`CoreModel.do_fetch`)
+    3. fetch (the shared :meth:`CoreModel.do_fetch`) into the fetch
+       window: the fetch queue is always a run of consecutive dynamic
+       indices, ``[fetch_head, cursor)``, and each fetched index's
+       decode-ready cycle and prediction outcome sit in two per-core
+       lists indexed by dynamic index, so fetch allocates nothing
     4. store drain and mode-exit checks; leap if nothing moved
 
 The model is execute-driven over a pre-materialised dynamic trace:
@@ -47,7 +51,6 @@ are built once per trace and shared by every model that replays it.
 from __future__ import annotations
 
 import os
-from collections import deque
 
 from ..branch.predictor import BranchPredictor
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE, Trace
@@ -63,17 +66,6 @@ from .result import SimResult
 #: try_issue outcomes.
 ISSUED = "issued"
 STALLED = "stalled"
-
-
-class FetchEntry:
-    """A fetched instruction waiting in the front-end latches."""
-
-    __slots__ = ("dyn", "decode_ready", "predicted_ok")
-
-    def __init__(self, dyn: DynInst, decode_ready: int, predicted_ok: bool) -> None:
-        self.dyn = dyn
-        self.decode_ready = decode_ready
-        self.predicted_ok = predicted_ok
 
 
 class SimulationDiverged(RuntimeError):
@@ -108,7 +100,12 @@ class CoreModel:
 
         self.cycle = 0
         self.reg_ready = [0] * NUM_REGS
-        self.fetch_queue: deque[FetchEntry] = deque()
+        #: The fetch queue is the window ``[fetch_head, cursor)``: fetch
+        #: is in order, so the queued instructions are always consecutive
+        #: dynamic indices.  ``fetch_head`` is the oldest one not yet
+        #: issued, ``cursor`` the next to fetch; a flush sets both to the
+        #: restart index.
+        self.fetch_head = 0
         self.cursor = 0
         self.fetch_blocked = False
         self.fetch_resume_cycle = 0
@@ -158,6 +155,10 @@ class CoreModel:
         self._l1d_hit_latency = cfg.hierarchy.l1d.hit_latency
         self._l2_hit_latency = cfg.hierarchy.l2.hit_latency
         self._max_cycles = cfg.max_cycles
+        # Per-index front-end latches, written at fetch and read only
+        # inside the window (a re-fetch overwrites a flushed index's).
+        self._decode_ready = [0] * self._trace_len
+        self._predicted_ok = [True] * self._trace_len
 
         # Phase attribution (observation only).  Multi-region programs
         # get live per-commit bucketing — one flat-array lookup guarded
@@ -359,7 +360,7 @@ class CoreModel:
     def done(self) -> bool:
         return (
             self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fetch_head == self.cursor
             and self.store_queue.empty
             and self.cycle >= self.last_completion
         )
@@ -368,30 +369,29 @@ class CoreModel:
     # fetch (shared by every model's step_cycle)
     # ==================================================================
     def do_fetch(self) -> None:
-        """Fetch up to ``width`` instructions through the I$."""
+        """Fetch up to ``width`` instructions through the I$.
+
+        Callers apply the eligibility guard first (not branch-blocked,
+        past the resume latch, trace left, room in the window).
+        """
         cycle = self.cycle
-        if self.fetch_blocked or cycle < self.fetch_resume_cycle:
-            return
-        cursor = self.cursor
-        trace_len = self._trace_len
-        if cursor >= trace_len:
-            return
-        fetch_queue = self.fetch_queue
-        room = self._fq_depth - len(fetch_queue)
-        if room <= 0:
-            return
-        width = self._width
-        limit = width if width < room else room
+        start = cursor = self.cursor
+        end = cursor + self._width
+        room = self.fetch_head + self._fq_depth
+        if room < end:
+            end = room
+        if self._trace_len < end:
+            end = self._trace_len
         insts = self._insts
         iline = self._iline
-        frontend_depth = self._frontend_depth
+        decode_ready = self._decode_ready
+        # Pipelined front end: decode+reg-read after the (possibly
+        # stale-line) I$ data returns, never less than the full
+        # fetch-to-issue depth from this cycle.
+        earliest = cycle + self._frontend_depth
         last_line = self._last_fetch_line
         ifetch_ready = self._ifetch_ready
-        predictor_predict = self.predictor.predict
-        append = fetch_queue.append
-        new_entry = FetchEntry.__new__
-        fetched = 0
-        while fetched < limit and cursor < trace_len:
+        while cursor < end:
             dyn = insts[cursor]
             line = iline[cursor]
             if line != last_line:
@@ -400,36 +400,23 @@ class CoreModel:
                     break
                 last_line = line
                 ifetch_ready = result.ready_cycle
-            # Pipelined front end: decode+reg-read after the (possibly
-            # stale-line) I$ data returns, never less than the full
-            # fetch-to-issue depth from this cycle.
-            decode_ready = cycle + frontend_depth
-            data_ready = ifetch_ready + 2
-            if data_ready > decode_ready:
-                decode_ready = data_ready
-            is_control = dyn.is_control
-            predicted_ok = True
-            if is_control:
-                predicted_ok = predictor_predict(dyn)
-            # Frame-free construction: this allocation runs once per
-            # fetched instruction across every model and replay.
-            entry = new_entry(FetchEntry)
-            entry.dyn = dyn
-            entry.decode_ready = decode_ready
-            entry.predicted_ok = predicted_ok
-            append(entry)
+            ready = ifetch_ready + 2
+            decode_ready[cursor] = ready if ready > earliest else earliest
+            if dyn.is_control:
+                ok = self._predicted_ok[cursor] = self.predictor.predict(dyn)
+                if not ok:
+                    # Wrong path from here: hold fetch until the branch
+                    # resolves.
+                    cursor += 1
+                    self.fetch_blocked = True
+                    break
             cursor += 1
-            fetched += 1
-            if is_control and not predicted_ok:
-                # Wrong path from here: hold fetch until the branch resolves.
-                self.fetch_blocked = True
-                break
             if dyn.taken:
                 # Correctly predicted taken: one-cycle redirect bubble.
                 self.fetch_resume_cycle = cycle + 1
                 last_line = -1
                 break
-        if fetched:
+        if cursor != start:
             self._progress = True
         self.cursor = cursor
         self._last_fetch_line = last_line
@@ -438,10 +425,10 @@ class CoreModel:
     # ==================================================================
     # issue + execute
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
-        """Attempt to issue the head instruction this cycle."""
-        dyn = entry.dyn
-        idx = dyn.index
+    def try_issue(self, idx: int) -> str:
+        """Attempt to issue the head instruction (dynamic index ``idx``)
+        this cycle."""
+        dyn = self._insts[idx]
         cycle = self.cycle
         ports = self.ports
         port_int = self._port_int[idx]
@@ -486,7 +473,7 @@ class CoreModel:
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         return ISSUED
 
     def execute_load(self, dyn: DynInst) -> int | None:
@@ -513,7 +500,7 @@ class CoreModel:
         self.store_queue.push(dyn.addr, dyn.store_val, self.cycle)
         return self.cycle + 1
 
-    def commit(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def commit(self, dyn: DynInst, completion: int) -> None:
         """Book-keeping for a successfully issued instruction."""
         dst = dyn.dst
         if dst is not None:
@@ -529,13 +516,13 @@ class CoreModel:
         if self._phase_of is not None:
             self._phase_commit(dyn)
         if dyn.is_control:
-            self.resolve_control(dyn, entry, completion)
+            self.resolve_control(dyn, completion)
         if completion > self.last_completion:
             self.last_completion = completion
 
-    def resolve_control(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def resolve_control(self, dyn: DynInst, completion: int) -> None:
         self.predictor.update(dyn)
-        if not entry.predicted_ok:
+        if not self._predicted_ok[dyn.index]:
             # Redirect the front end at resolve; refill penalty follows
             # from the decode_ready computed at the new fetch time.
             self.fetch_blocked = False
@@ -643,14 +630,15 @@ class CoreModel:
         # every idle cycle, so no candidate list is materialised.
         best = 0
         source = None
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            c = self._head_wakeup(fetch_queue[0])
+        head = self.fetch_head
+        cursor = self.cursor
+        if head < cursor:
+            c = self._head_wakeup(head)
             if c > cycle:
                 best = c
                 source = "head"
-        # The front end acts (appends entries, with any I$ latency folded
-        # into their decode_ready) on every cycle it is eligible: not
+        # The front end acts (fetches into the window, with any I$ latency
+        # folded into decode_ready) on every cycle it is eligible: not
         # branch-blocked, past the resume latch (taken-branch bubble,
         # runahead restart, SLTP's SRL drain push), with queue room and
         # trace left.  Its wake-up is therefore exactly the resume latch;
@@ -658,8 +646,8 @@ class CoreModel:
         # and can hit immediately.  When the latch is in the past, a
         # fetch that failed this cycle was I$-MSHR-stalled (side-effect
         # free), and its retry rides the hierarchy's fill horizon below.
-        if (self.cursor < self._trace_len and not self.fetch_blocked
-                and len(fetch_queue) < self._fq_depth):
+        if (cursor < self._trace_len and not self.fetch_blocked
+                and cursor - head < self._fq_depth):
             c = self.fetch_resume_cycle
             if c > cycle and (not best or c < best):
                 best = c
@@ -708,20 +696,21 @@ class CoreModel:
         own machinery (mode timers, rally waits, gated drains) can act."""
         return None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
-        """Earliest cycle the queue head could issue (for the leap).
+    def _head_wakeup(self, idx: int) -> int:
+        """Earliest cycle the window head ``idx`` could issue (for the
+        leap).
 
         The base model stalls on source *and* destination (WAW)
         readiness; latency-tolerant subclasses override this to match
         their own stall rules.
         """
-        earliest = entry.decode_ready
+        earliest = self._decode_ready[idx]
         reg_ready = self.reg_ready
-        for src in entry.dyn.srcs:
+        for src in self._srcs[idx]:
             ready = reg_ready[src]
             if ready > earliest:
                 earliest = ready
-        dst = entry.dyn.dst
+        dst = self._dst[idx]
         if dst is not None and dst != ZERO_REG:
             ready = reg_ready[dst]
             if ready > earliest:

@@ -125,6 +125,10 @@ class MemoryHierarchy:
         self._l1d_lat = cfg.l1d.hit_latency
         self._l1i_lat = cfg.l1i.hit_latency
         self._l2_lat = cfg.l2.hit_latency
+        # L1 lines per L2 line, one ratio per L1: inclusion must drop
+        # each L1's own sub-lines of an evicted L2 line.
+        self._l1d_per_l2 = cfg.l2.line_bytes // cfg.l1d.line_bytes
+        self._l1i_per_l2 = cfg.l2.line_bytes // cfg.l1i.line_bytes
 
     # ------------------------------------------------------------------
     # data side
@@ -330,9 +334,11 @@ class MemoryHierarchy:
         if victim is None:
             return
         # Enforce inclusion: drop L1 copies of the evicted L2 line.
-        ratio = self.config.l2.line_bytes // self.config.l1d.line_bytes
+        ratio = self._l1d_per_l2
         for i in range(ratio):
             self.l1d.invalidate(victim[0] * ratio + i)
+        ratio = self._l1i_per_l2
+        for i in range(ratio):
             self.l1i.invalidate(victim[0] * ratio + i)
         pushed = self.l2_victims.insert(*victim)
         if pushed is not None and pushed[1]:

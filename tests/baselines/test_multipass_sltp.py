@@ -86,7 +86,7 @@ def test_multipass_without_result_buffer_is_runahead(kernel):
 
 @pytest.mark.parametrize("mode", [NORMAL, RUNAHEAD])
 def test_multipass_reuses_results_in_both_modes(mode):
-    """Both mode-bound issue methods send a head with a saved result to
+    """Both mode issue methods send a head with a saved result to
     ``_issue_reused``: the architectural replay commits it, and a later
     advance pass over the same region re-uses it too."""
     core = MultipassCore(trace_by_name("mcf_like", 800),
@@ -94,8 +94,8 @@ def test_multipass_reuses_results_in_both_modes(mode):
     issue_reused = core._issue_reused
     reused = {NORMAL: 0, RUNAHEAD: 0}
 
-    def counting_issue_reused(entry):
-        outcome = issue_reused(entry)
+    def counting_issue_reused(idx):
+        outcome = issue_reused(idx)
         if outcome is ISSUED:
             reused[core.mode] += 1
         return outcome

@@ -1,12 +1,15 @@
 """Unit tests for the base in-order timing model."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro.baselines.inorder import InOrderCore
 from repro.engine import SimulationDiverged
 from repro.functional import run_program
+from repro.harness.experiment import ExperimentConfig, MODELS, make_core
 from repro.isa import Assembler, R, assemble_text
 from repro.memory import CacheConfig, HierarchyConfig
 from repro.pipeline import MachineConfig
@@ -329,3 +332,27 @@ def test_mlp_meters_record_misses():
     r = core.run()
     assert r.stats.l2_misses == 2
     assert r.stats.l2_mlp.average() > 1.5  # the two misses overlapped
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_finished_core_is_freed_by_refcount(model):
+    """No reference cycle keeps a finished core (and its trace-length
+    fetch-window lists) alive until the cycle collector runs: dropping
+    the last reference frees it, mode transitions included."""
+    trace = run_program(assemble_text(
+        """
+        li r1, 0x80000
+        ld r2, r1, 0        # cold L2 miss: every latency-tolerant model
+        addi r3, r2, 1      # enters (and leaves) its advance mode
+        halt
+        """
+    ))
+    gc.disable()
+    try:
+        core = make_core(model, trace, ExperimentConfig())
+        core.run()
+        ref = weakref.ref(core)
+        del core
+        assert ref() is None
+    finally:
+        gc.enable()

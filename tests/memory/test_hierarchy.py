@@ -168,16 +168,25 @@ def test_ifetch_secondary_merge():
     assert r2.ready_cycle == r1.ready_cycle
 
 
-def test_l2_eviction_enforces_inclusion():
-    h = tiny_hierarchy()
-    # L2: 16 sets of 128B lines, 4 ways. Fill one set with 5 lines.
+@pytest.mark.parametrize("l1i_line", [64, 32])
+def test_l2_eviction_enforces_inclusion(l1i_line):
+    h = tiny_hierarchy(l1i=CacheConfig("l1i", 4 * l1i_line * 2, 2, l1i_line, 3))
+    # L2: 16 sets of 128B lines, 4 ways.  Fill set 0 with a code line,
+    # then five data lines: the code line and data line 0 are evicted.
+    code_pc = 0x1000
+    r = h.fetch_access(code_pc, cycle=0)
+    t = r.ready_cycle + 1
+    h.retire_mshrs(t)
+    assert h.l1i.probe(code_pc // l1i_line)
     stride = 16 * 128
-    t = 0
-    for i in range(5):
+    for i in (0, 1, 3, 4, 5):
         r = h.data_access(i * stride, cycle=t)
         t = r.ready_cycle + 1
         h.retire_mshrs(t)
-    # Line 0 was evicted from L2; inclusion dropped its L1 copy.
+    # Both left the L2; inclusion dropped their L1 copies, whatever
+    # each L1's line size.
+    assert not h.l2.probe(code_pc // 128)
+    assert not h.l1i.probe(code_pc // l1i_line)
     assert not h.l1d.probe(0)
     assert not h.l2.probe(0)
 
