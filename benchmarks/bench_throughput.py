@@ -499,58 +499,48 @@ def campaign_throughput(parallel_jobs: int | None = None,
     resolved_parallel = parallel_jobs if forced else max(2, default_jobs())
     skip_parallel = cpu_count <= 1 and not forced
     # The environment must not leak into the measurements: the engine
-    # phases are pure simulation (no memo tiers), the store phase uses
-    # its own explicit store — but warm-hierarchy checkpoints resolve
-    # the env store inside core construction, so a dirty .repro-cache/
-    # would corrupt the trend record.  Restored afterwards.
-    prior_store_env = os.environ.get("REPRO_STORE")
-    os.environ["REPRO_STORE"] = "0"
-    try:
-        report = {
-            "benchmark": "figure5_campaign_throughput",
-            "instructions_per_kernel": config.instructions,
-            # Names, not raw refs: generated workloads (WorkloadSpec)
-            # are not JSON-serialisable and the record only needs ids.
-            "workloads": [workload_name(w) for w in workloads],
-            "models": list(MODELS),
-            "cpu_count": cpu_count,
-            "repro_jobs_env": os.environ.get("REPRO_JOBS"),
-        }
-        if not store_only:
-            engine = run_engine_phase(
-                config, workloads,
-                None if skip_parallel else resolved_parallel)
-            report["engine_methodology"] = engine["methodology"]
-            report["sequential"] = engine["sequential"]
-            if skip_parallel:
-                report["parallel"] = None
-                report["parallel_skipped"] = (
-                    f"cpu_count={cpu_count}: a process pool only adds "
-                    "fork/IPC overhead on a single-core host; pass "
-                    "--jobs N to force the phase")
-            else:
-                report["parallel"] = engine["parallel"]
-                report["speedup"] = engine["speedup"]
-                report["parallel_results_identical"] = \
-                    engine["results_identical"]
-            report["generated"] = run_generated_phase(config)
-            report["phase_attribution"] = run_phase_attribution_phase(config)
-            report["fault_tolerance"] = run_fault_tolerance_phase(
-                config, workloads)
-            report["obs"] = run_obs_overhead_phase(config, workloads)
-        report["store"] = run_store_phase(config, workloads, store_dir)
-        verdicts = [report["store"]["results_identical"]]
-        if not store_only:
-            verdicts.append(report["fault_tolerance"]["results_identical"])
-            verdicts.append(report["obs"]["results_identical"])
-            if report["parallel"] is not None:
-                verdicts.append(report["parallel_results_identical"])
-        report["results_identical"] = all(verdicts)
-    finally:
-        if prior_store_env is None:
-            os.environ.pop("REPRO_STORE", None)
+    # phases are pure simulation (no memo tiers) and the store phase
+    # uses its own explicit store.
+    report = {
+        "benchmark": "figure5_campaign_throughput",
+        "instructions_per_kernel": config.instructions,
+        # Names, not raw refs: generated workloads (WorkloadSpec)
+        # are not JSON-serialisable and the record only needs ids.
+        "workloads": [workload_name(w) for w in workloads],
+        "models": list(MODELS),
+        "cpu_count": cpu_count,
+        "repro_jobs_env": os.environ.get("REPRO_JOBS"),
+    }
+    if not store_only:
+        engine = run_engine_phase(
+            config, workloads,
+            None if skip_parallel else resolved_parallel)
+        report["engine_methodology"] = engine["methodology"]
+        report["sequential"] = engine["sequential"]
+        if skip_parallel:
+            report["parallel"] = None
+            report["parallel_skipped"] = (
+                f"cpu_count={cpu_count}: a process pool only adds "
+                "fork/IPC overhead on a single-core host; pass "
+                "--jobs N to force the phase")
         else:
-            os.environ["REPRO_STORE"] = prior_store_env
+            report["parallel"] = engine["parallel"]
+            report["speedup"] = engine["speedup"]
+            report["parallel_results_identical"] = \
+                engine["results_identical"]
+        report["generated"] = run_generated_phase(config)
+        report["phase_attribution"] = run_phase_attribution_phase(config)
+        report["fault_tolerance"] = run_fault_tolerance_phase(
+            config, workloads)
+        report["obs"] = run_obs_overhead_phase(config, workloads)
+    report["store"] = run_store_phase(config, workloads, store_dir)
+    verdicts = [report["store"]["results_identical"]]
+    if not store_only:
+        verdicts.append(report["fault_tolerance"]["results_identical"])
+        verdicts.append(report["obs"]["results_identical"])
+        if report["parallel"] is not None:
+            verdicts.append(report["parallel_results_identical"])
+    report["results_identical"] = all(verdicts)
     return report
 
 

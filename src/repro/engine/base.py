@@ -72,6 +72,22 @@ class SimulationDiverged(RuntimeError):
     """The cycle loop exceeded the configured safety limit."""
 
 
+def warm_geometry_key(machine_config) -> tuple:
+    """The warm-relevant subset of a machine config.
+
+    Tag-store geometry plus the warm flags — nothing else: warm
+    contents are line/set/assoc arithmetic over the program image, so
+    e.g. Figure 6's latency sweep shares one snapshot across all L2
+    hit latencies.
+    """
+    def geom(c):
+        return (c.size_bytes, c.assoc, c.line_bytes)
+
+    h = machine_config.hierarchy
+    return (geom(h.l1i), geom(h.l1d), geom(h.l2),
+            machine_config.warm_icache, machine_config.warm_dcache)
+
+
 class CoreModel:
     """2-way superscalar in-order pipeline state and issue rules.
 
@@ -198,21 +214,11 @@ class CoreModel:
         program image and the hierarchy geometry — every model of a
         workload (and every sweep value that keeps the hierarchy config)
         produces the identical warm tag store.  The first core to warm a
-        trace stashes copies of the I$/D$/L2 sets on the trace object;
-        later cores load them instead of replaying the insert loop.
-
-        Checkpoints are also durable: when the disk store is enabled
-        (``REPRO_STORE`` / ``REPRO_CACHE_DIR``), the snapshot is keyed
-        by its own sub-fingerprint (program image digest + geometry +
-        warm flags) and shared across all five models *and across
-        runs* — a fresh process loads the checkpoint instead of
-        replaying warm-up at all.
+        trace at a :func:`warm_geometry_key` stores the I$/D$/L2 sets in
+        ``trace.warm_snapshots``; later cores load them instead of
+        replaying the insert loop.  Snapshots live as long as the trace,
+        in this process only: building a core never touches the disk.
         """
-        # Local import: repro.exec drives its jobs through cores, so a
-        # top-level import would be circular.
-        from ..exec.store import (default_store, warm_fingerprint,
-                                  warm_geometry_key)
-
         cfg = self.config
         hier = self.hierarchy
         if not reusable:
@@ -222,29 +228,16 @@ class CoreModel:
                 self._warm_dcache()
             return
         key = warm_geometry_key(cfg)
-        snapshots = getattr(self.trace, "warm_snapshots", None)
-        if snapshots is None:
-            snapshots = self.trace.warm_snapshots = {}
+        snapshots = self.trace.warm_snapshots
         snap = snapshots.get(key)
         if snap is None:
-            disk = default_store()
-            sub_fp = (warm_fingerprint(self.trace.program, key)
-                      if disk is not None else None)
-            if disk is not None:
-                snap = disk.get_warm(sub_fp)
-                if snap is not None:
-                    snapshots[key] = snap
-            if snap is None:
-                if cfg.warm_icache:
-                    self._warm_icache()
-                if cfg.warm_dcache:
-                    self._warm_dcache()
-                snap = (hier.l1i.export_sets(), hier.l1d.export_sets(),
-                        hier.l2.export_sets())
-                snapshots[key] = snap
-                if disk is not None:
-                    disk.put_warm(sub_fp, snap)
-                return
+            if cfg.warm_icache:
+                self._warm_icache()
+            if cfg.warm_dcache:
+                self._warm_dcache()
+            snapshots[key] = (hier.l1i.export_sets(), hier.l1d.export_sets(),
+                              hier.l2.export_sets())
+            return
         hier.l1i.load_sets(snap[0])
         hier.l1d.load_sets(snap[1])
         hier.l2.load_sets(snap[2])
@@ -293,11 +286,7 @@ class CoreModel:
                 continue
             insert(l2_line)
             per_set[set_index] = count + 1
-        program = self.trace.program
-        regions = program.hot_regions
-        if not regions and program.hot_region is not None:
-            regions = (program.hot_region,)  # externally built Program
-        for hot in regions:
+        for hot in self.trace.program.hot_regions:
             for addr in range(hot[0], hot[1], cfg.l1d.line_bytes):
                 self.hierarchy.l1d.insert(cfg.l1d.line_addr(addr))
 

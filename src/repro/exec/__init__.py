@@ -12,10 +12,11 @@ executes them through one engine that
   by job fingerprint — the in-order baseline of a sweep runs once, not
   once per sweep value;
 * **persists** results across processes (:mod:`.store`): an on-disk,
-  content-addressed store under ``REPRO_CACHE_DIR`` (toggle with
-  ``REPRO_STORE`` / ``--store``/``--no-store``) makes every campaign
-  incremental — a repeated figure grid in a fresh process hits the
-  store for every cell it has seen before;
+  content-addressed store of SimResults, and nothing else, under
+  ``REPRO_CACHE_DIR`` (toggle with ``REPRO_STORE`` /
+  ``--store``/``--no-store``) makes every campaign incremental — a
+  repeated figure grid in a fresh process hits the store for every
+  cell it has seen before;
 * **parallelises** across a process pool (:mod:`.engine`), controlled by
   ``REPRO_JOBS`` / ``--jobs`` with a sequential in-process fallback at
   ``jobs=1``, and guarantees results identical to sequential execution

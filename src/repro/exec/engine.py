@@ -684,13 +684,11 @@ def parallel_map(fn, items, *, workers: int | None = None,
                  policy: RetryPolicy | None = None) -> list:
     """Ordered ``map(fn, items)``, pooled when workers > 1.
 
-    For campaign pieces that are not plain SimJobs (the Figure 1
-    scenario micro-programs, for instance).  ``fn`` must be a
-    module-level callable and ``items`` picklable; there is no memo,
+    For work that is not a plain SimJob.  ``fn`` must be a module-level
+    callable and ``items`` picklable; there is no memo and no store,
     but the fault-tolerant scheduler (retries, pool resurrection,
     sequential degradation) is the same one ``run_jobs`` uses — ``fn``
-    must therefore be deterministic, which every campaign piece already
-    guarantees.
+    must therefore be deterministic.
     """
     items = list(items)
     workers = workers if workers is not None else default_jobs()

@@ -14,9 +14,16 @@ path for a campaign cell is then
 so a repeated or overlapping campaign pays only for the cells it has
 never seen, in any process, ever.
 
+The store holds :class:`~repro.engine.result.SimResult` records and
+nothing else (every recorded statistic round-trips exactly — see
+:func:`result_to_payload`).  Warm tag stores are construction-time
+state that a trace's models share in-process
+(:meth:`repro.engine.base.CoreModel._warm_hierarchy`); building a core
+never reads or writes the store.
+
 Keying and invalidation
 -----------------------
-Records live under ``<root>/v<STORE_SCHEMA>/<ENGINE_VERSION>/<section>/
+Records live under ``<root>/v<STORE_SCHEMA>/<ENGINE_VERSION>/results/
 <fp[:2]>/<fp>.json``.  Three things name a record:
 
 * the **job fingerprint** — the deterministic sha256 of the job spec
@@ -47,19 +54,6 @@ Chaos testing: when a fault plan is active (:mod:`repro.exec.faults`,
 corrupted before the atomic rename — simulating torn writes the rename
 discipline cannot prevent — so the corrupt→quarantine→recompute path
 stays continuously exercised.
-
-Sections
---------
-``results``
-    :class:`~repro.engine.result.SimResult` records (every recorded
-    statistic round-trips exactly — see :func:`result_to_payload`).
-``warm``
-    Warm-hierarchy tag-store checkpoints, keyed by
-    :func:`warm_fingerprint` — the warmed I$/D$/L2 state for a
-    ``(program image, geometry, warm flags)`` cell is computed once and
-    shared across all five models *and across runs*.
-``scenarios``
-    Figure 1 micro-scenario cycle dictionaries.
 """
 
 from __future__ import annotations
@@ -75,11 +69,11 @@ from ..engine.result import SimResult
 from ..obs import trace as obs_trace
 from ..pipeline.stats import CoreStats, MLPMeter, PhaseStats, StallBreakdown
 from .faults import active_injector
-from .fingerprint import fingerprint
 
 #: Record-layout version: bump when the serialised form changes.
 #: v2: results carry per-phase attribution buckets (``phases``).
-STORE_SCHEMA = 2
+#: v3: results only (the ``warm`` and ``scenarios`` records are gone).
+STORE_SCHEMA = 3
 
 #: Timing-semantics tag.  Bump in the same commit that regenerates
 #: tests/engine/golden_stats.json.  History: "eh2" = the PR 2
@@ -89,8 +83,6 @@ ENGINE_VERSION = "eh3"
 
 #: ``REPRO_STORE`` values that disable the store (anything else is on).
 _FALSEY = frozenset(("0", "false", "no", "off"))
-
-_SECTIONS = ("results", "warm", "scenarios")
 
 
 def store_enabled() -> bool:
@@ -168,68 +160,6 @@ def payload_to_result(payload: dict) -> SimResult:
 
 
 # ----------------------------------------------------------------------
-# warm-hierarchy checkpoints
-# ----------------------------------------------------------------------
-def program_image_digest(program) -> str:
-    """Content digest of everything warm-up reads from a program.
-
-    Warm tag stores are a pure function of the code size, the data
-    image, the declared hot region, and the cache geometry; the first
-    three live here (memoized on the program object — kernels are built
-    once per process), the geometry joins in :func:`warm_fingerprint`.
-    """
-    digest = getattr(program, "_warm_image_digest", None)
-    if digest is None:
-        if len(program.hot_regions) > 1:
-            # Multi-region (composed) programs: every region shapes the
-            # warm L1D, so all of them key the checkpoint.  The single-
-            # region form stays as it always was — existing named-suite
-            # digests (and their stored checkpoints) remain valid.
-            digest = fingerprint(program.name, len(program.instructions),
-                                 program.data, program.hot_region,
-                                 program.hot_regions)
-        else:
-            digest = fingerprint(program.name, len(program.instructions),
-                                 program.data, program.hot_region)
-        program._warm_image_digest = digest
-    return digest
-
-
-def warm_geometry_key(machine_config) -> tuple:
-    """The warm-relevant subset of a machine config.
-
-    Tag-store geometry plus the warm flags — nothing else: warm
-    contents are line/set/assoc arithmetic over the program image, so
-    e.g. Figure 6's latency sweep shares one checkpoint across all L2
-    hit latencies.  Single source of truth for both the engine's
-    snapshot reuse and the golden fingerprint fixtures (drift here must
-    fail tier-1, not silently cold-start every checkpoint).
-    """
-    def geom(c):
-        return (c.size_bytes, c.assoc, c.line_bytes)
-
-    h = machine_config.hierarchy
-    return (geom(h.l1i), geom(h.l1d), geom(h.l2),
-            machine_config.warm_icache, machine_config.warm_dcache)
-
-
-def warm_fingerprint(program, geometry_key) -> str:
-    """Disk key of one warm checkpoint: image digest + geometry/flags."""
-    return fingerprint("warm", program_image_digest(program), geometry_key)
-
-
-def _sets_to_payload(sets) -> list:
-    return [[list(entry) for entry in way_list] for way_list in sets]
-
-
-def _payload_to_sets(payload) -> list:
-    # Tag entries must come back as immutable (line, dirty) tuples —
-    # Cache.load_sets shares them, never copies them entry-by-entry.
-    return [[(int(line), bool(dirty)) for line, dirty in way_list]
-            for way_list in payload]
-
-
-# ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
 class ResultStore:
@@ -256,16 +186,16 @@ class ResultStore:
         self._flushed = {"hits": 0, "misses": 0, "corrupt": 0, "writes": 0}
 
     # -- paths ----------------------------------------------------------
-    def _record_path(self, section: str, fp: str) -> str:
-        return os.path.join(self.version_dir, section, fp[:2], fp + ".json")
+    def _record_path(self, fp: str) -> str:
+        return os.path.join(self.version_dir, "results", fp[:2], fp + ".json")
 
     def quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
 
     # -- generic JSON records ------------------------------------------
-    def get_json(self, section: str, fp: str):
-        """The ``payload`` of record ``fp`` in ``section``, or ``None``."""
-        path = self._record_path(section, fp)
+    def get_json(self, fp: str):
+        """The ``payload`` of record ``fp``, or ``None``."""
+        path = self._record_path(fp)
         try:
             with open(path, encoding="utf-8") as handle:
                 record = json.load(handle)
@@ -287,12 +217,12 @@ class ResultStore:
         self.hits += 1
         return payload
 
-    def put_json(self, section: str, fp: str, payload) -> bool:
+    def put_json(self, fp: str, payload) -> bool:
         """Atomically write one record; False when the store is unwritable."""
         record = {"schema": self.schema, "engine": self.engine_version,
                   "fingerprint": fp, "created": time.time(),
                   "payload": payload}
-        if not self._atomic_write_json(self._record_path(section, fp), record):
+        if not self._atomic_write_json(self._record_path(fp), record):
             return False
         self.writes += 1
         return True
@@ -326,19 +256,19 @@ class ResultStore:
             return False
         return True
 
-    def _corrupt_record(self, section: str, fp: str, *, was_hit: bool) -> None:
+    def _corrupt_record(self, fp: str, *, was_hit: bool) -> None:
         """Count and quarantine a damaged record so a rewrite can land."""
         if was_hit:
             self.hits -= 1
         self.corrupt += 1
-        self._quarantine(self._record_path(section, fp))
+        self._quarantine(self._record_path(fp))
 
     def _quarantine(self, path: str) -> None:
         """Move a damaged record into ``quarantine/`` for post-mortem.
 
-        The quarantined name flattens ``section/shard/record.json`` to
-        ``section__shard__record.json`` so one flat directory holds any
-        mix; a repeat offender overwrites its previous capture.  If the
+        The quarantined name flattens ``results/shard/record.json`` to
+        ``results__shard__record.json`` so one flat directory holds them
+        all; a repeat offender overwrites its previous capture.  If the
         move itself fails (read-only store), fall back to deletion so a
         recomputed record can still land.
         """
@@ -395,13 +325,13 @@ class ResultStore:
 
     # -- SimResults (the campaign tier) --------------------------------
     def get_result(self, fp: str) -> SimResult | None:
-        payload = self.get_json("results", fp)
+        payload = self.get_json(fp)
         if payload is None:
             return None
         try:
             return payload_to_result(payload)
         except (KeyError, TypeError, ValueError):
-            self._corrupt_record("results", fp, was_hit=True)
+            self._corrupt_record(fp, was_hit=True)
             return None
 
     def get_results(self, fps) -> dict[str, SimResult]:
@@ -415,32 +345,13 @@ class ResultStore:
 
     def put_result(self, fp: str, result: SimResult) -> bool:
         with obs_trace.span("store.flush", fp=fp[:16]):
-            return self.put_json("results", fp, result_to_payload(result))
+            return self.put_json(fp, result_to_payload(result))
 
     def put_results(self, pairs) -> None:
         """Batched flush (the engine calls this once per pool batch)."""
         for fp, result in pairs:
             if not self.put_result(fp, result):
                 return  # unwritable store: don't retry per record
-
-    # -- warm-hierarchy checkpoints ------------------------------------
-    def get_warm(self, fp: str):
-        """A warm ``(l1i, l1d, l2)`` tag-store triple, or ``None``."""
-        payload = self.get_json("warm", fp)
-        if payload is None:
-            return None
-        try:
-            return tuple(_payload_to_sets(payload[level])
-                         for level in ("l1i", "l1d", "l2"))
-        except (KeyError, TypeError, ValueError):
-            self._corrupt_record("warm", fp, was_hit=True)
-            return None
-
-    def put_warm(self, fp: str, snapshot) -> bool:
-        l1i, l1d, l2 = snapshot
-        return self.put_json("warm", fp, {"l1i": _sets_to_payload(l1i),
-                                          "l1d": _sets_to_payload(l1d),
-                                          "l2": _sets_to_payload(l2)})
 
     # -- lifetime counters ---------------------------------------------
     def _counters_path(self) -> str:
@@ -538,18 +449,15 @@ class ResultStore:
             return {}
 
     # -- maintenance (the `repro cache` subcommand) --------------------
-    def _iter_record_paths(self, version_dir: str):
-        for section in _SECTIONS:
-            section_dir = os.path.join(version_dir, section)
-            if not os.path.isdir(section_dir):
-                continue
-            for shard in sorted(os.listdir(section_dir)):
-                shard_dir = os.path.join(section_dir, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                for name in sorted(os.listdir(shard_dir)):
-                    if name.endswith(".json"):
-                        yield section, os.path.join(shard_dir, name)
+    @staticmethod
+    def _iter_record_paths(version_dir: str):
+        """Every record under one ``v<schema>/<engine>`` tree, whatever
+        layout the version that wrote it used."""
+        for parent, dirnames, names in os.walk(version_dir):
+            dirnames.sort()
+            for name in sorted(names):
+                if name.endswith(".json"):
+                    yield os.path.join(parent, name)
 
     def _version_dirs(self):
         """All ``(vN, engine)`` directories present under the root."""
@@ -571,18 +479,17 @@ class ResultStore:
                     yield vname, ename, edir
 
     def stats(self) -> dict:
-        """Entries and bytes per section, plus stale/quarantine totals."""
-        sections = {name: {"entries": 0, "bytes": 0} for name in _SECTIONS}
+        """Current-version entries and bytes, plus stale/quarantine totals."""
+        current = {"entries": 0, "bytes": 0}
         stale = {"entries": 0, "bytes": 0}
         for vname, ename, edir in self._version_dirs():
-            current = (vname == f"v{self.schema}"
-                       and ename == self.engine_version)
-            for section, path in self._iter_record_paths(edir):
+            bucket = (current if vname == f"v{self.schema}"
+                      and ename == self.engine_version else stale)
+            for path in self._iter_record_paths(edir):
                 try:
                     size = os.path.getsize(path)
                 except OSError:
                     continue
-                bucket = sections[section] if current else stale
                 bucket["entries"] += 1
                 bucket["bytes"] += size
         quarantined = self.quarantine_entries()
@@ -593,9 +500,8 @@ class ResultStore:
             "root": os.path.abspath(self.root),
             "schema": self.schema,
             "engine": self.engine_version,
-            "sections": sections,
-            "entries": sum(s["entries"] for s in sections.values()),
-            "bytes": sum(s["bytes"] for s in sections.values()),
+            "entries": current["entries"],
+            "bytes": current["bytes"],
             "stale": stale,
             "lifetime": self.read_counters(),
         }
@@ -616,21 +522,16 @@ class ResultStore:
         ``quarantined`` counters keep their deltas — those events are
         real.
         """
-        readers = {"results": self.get_result,
-                   "warm": self.get_warm,
-                   "scenarios": lambda fp: self.get_json("scenarios", fp)}
         hits_before, misses_before = self.hits, self.misses
-        sections = {name: {"ok": 0, "quarantined": 0} for name in _SECTIONS}
+        ok = quarantined = 0
         try:
-            for section, path in list(self._iter_record_paths(
-                    self.version_dir)):
+            for path in list(self._iter_record_paths(self.version_dir)):
                 fp = os.path.basename(path)[:-5]
                 corrupt_before = self.corrupt
-                value = readers[section](fp)
-                if value is not None:
-                    sections[section]["ok"] += 1
+                if self.get_result(fp) is not None:
+                    ok += 1
                 elif self.corrupt > corrupt_before:
-                    sections[section]["quarantined"] += 1
+                    quarantined += 1
                 # else: the record vanished mid-scan (concurrent gc/
                 # clear) — nothing to verify, nothing to count.
         finally:
@@ -638,10 +539,8 @@ class ResultStore:
         return {"root": os.path.abspath(self.root),
                 "schema": self.schema,
                 "engine": self.engine_version,
-                "sections": sections,
-                "ok": sum(s["ok"] for s in sections.values()),
-                "quarantined": sum(s["quarantined"]
-                                   for s in sections.values())}
+                "ok": ok,
+                "quarantined": quarantined}
 
     def clear(self) -> int:
         """Delete every record (all schemas/engines); removed file count.
@@ -676,7 +575,7 @@ class ResultStore:
         removed = {"stale": 0, "expired": 0}
         for vname, ename, edir in list(self._version_dirs()):
             if vname == f"v{self.schema}" and ename == self.engine_version:
-                for _section, path in list(self._iter_record_paths(edir)):
+                for path in list(self._iter_record_paths(edir)):
                     try:
                         if os.path.getmtime(path) < cutoff:
                             os.unlink(path)

@@ -190,6 +190,11 @@ class Trace:
     completed:
         True when the program reached ``halt`` within the instruction
         budget; False when the trace was truncated at the budget.
+    warm_snapshots:
+        Warm ``(l1i, l1d, l2)`` tag-store sets keyed by cache geometry,
+        filled by the first timing model to warm up on this trace and
+        loaded by the rest (:meth:`repro.engine.base.CoreModel.
+        _warm_hierarchy`).
     """
 
     def __init__(self, program, insts, final_state, completed: bool) -> None:
@@ -206,6 +211,7 @@ class Trace:
         self._num_stores: int | None = None
         self._num_branches: int | None = None
         self._footprints: dict[int, int] = {}
+        self.warm_snapshots: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.insts)

@@ -246,8 +246,7 @@ def cmd_table2(args) -> None:
     _emit_report(report)
 
 
-def cmd_scenarios(args) -> None:
-    _apply_jobs(args)
+def cmd_scenarios(_args) -> None:
     results = run_all_scenarios()
     print(f"{'scenario':10s} " + " ".join(f"{m:>10s}" for m in MODELS))
     for key, cycles in results.items():
@@ -279,10 +278,7 @@ def cmd_cache(args) -> None:
         info = store.stats()
         print(f"Result store: {info['root']} "
               f"(schema v{info['schema']}, engine {info['engine']})")
-        for section, usage in info["sections"].items():
-            print(f"  {section:10s} {usage['entries']:6d} entries  "
-                  f"{_human_bytes(usage['bytes']):>10s}")
-        print(f"  {'total':10s} {info['entries']:6d} entries  "
+        print(f"  total {info['entries']:6d} results  "
               f"{_human_bytes(info['bytes']):>10s}")
         stale = info["stale"]
         if stale["entries"]:
@@ -325,10 +321,7 @@ def cmd_cache(args) -> None:
         info = store.verify()
         print(f"Verified store: {info['root']} "
               f"(schema v{info['schema']}, engine {info['engine']})")
-        for section, counts in info["sections"].items():
-            print(f"  {section:10s} {counts['ok']:6d} ok  "
-                  f"{counts['quarantined']:4d} quarantined")
-        print(f"  {'total':10s} {info['ok']:6d} ok  "
+        print(f"  results {info['ok']:6d} ok  "
               f"{info['quarantined']:4d} quarantined")
         if info["quarantined"]:
             print("  (`repro cache quarantine` inspects the damaged "
@@ -537,12 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("figure7", cmd_figure7, "SLTP -> iCFP feature build"),
         ("figure8", cmd_figure8, "store-buffer disciplines"),
         ("table2", cmd_table2, "miss rates, MLP, rally overhead"),
-        ("scenarios", cmd_scenarios, "Figure 1 micro-scenarios"),
-        ("area", cmd_area, "Section 5.3 area overheads"),
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)
         p.set_defaults(fn=fn)
+
+    # Fixed tables: no budget, workload, machine or campaign knob
+    # changes what they print, so they accept none.
+    for name, fn, doc in (
+        ("scenarios", cmd_scenarios, "Figure 1 micro-scenarios"),
+        ("area", cmd_area, "Section 5.3 area overheads"),
+    ):
+        sub.add_parser(name, help=doc).set_defaults(fn=fn)
 
     p = sub.add_parser("phases", help="per-phase attribution breakdown")
     _add_common(p)

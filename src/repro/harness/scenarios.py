@@ -4,13 +4,16 @@ Each scenario builds the paper's abstract instruction pattern with real
 addresses (cold lines for misses, pre-warmed lines for hits) and runs it
 across the machine models, so the paper's qualitative claims — who can
 overlap what — can be demonstrated and asserted numerically.
+
+The whole table (six programs x five models) simulates in about 30 ms,
+inside process start-up, so :func:`run_all_scenarios` runs it in
+order, in-process: no worker pool and no result-store record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exec import fingerprint, parallel_map, resolve_store
 from ..isa.assembler import Assembler
 from ..isa.program import Program
 from ..isa.registers import R
@@ -182,57 +185,8 @@ def run_scenario(scenario: Scenario, models=MODELS,
     return cycles
 
 
-def _scenario_cell(item) -> dict[str, int]:
-    """Pool-friendly worker: rebuild the scenario by key and run it."""
-    key, models, config = item
-    return run_scenario(SCENARIOS[key](), models, config)
-
-
-def run_all_scenarios(models=MODELS, jobs: int | None = None,
-                      config: ExperimentConfig | None = None,
-                      store=None) -> dict[str, dict[str, int]]:
-    """Cycles for every Figure 1 scenario: results[key][model].
-
-    Scenarios are independent micro-programs, so they fan out across the
-    engine's worker pool like any other campaign — and, like any other
-    campaign, they are incremental: each (scenario, models, config) cell
-    is fingerprinted and its cycle dictionary kept in the disk store
-    (``store=`` as in :func:`repro.exec.run_jobs`), so a repeated
-    ``repro scenarios`` run simulates nothing.
-    """
-    config = config if config is not None else ExperimentConfig(warm=False)
-    keys = list(SCENARIOS)
-    disk = resolve_store(store)
-    results: dict[str, dict[str, int]] = {}
-    fps: dict[str, str] = {}
-    missing: list[str] = []
-    for key in keys:
-        # The key embeds the scenario's *content* (instructions, data
-        # image, warm lists), not just its name: editing a micro-program
-        # must invalidate its record, not serve stale cycles.  Building
-        # the tiny assemblers here is microseconds.
-        scenario = SCENARIOS[key]()
-        program = scenario.program
-        fps[key] = fingerprint("scenario", key, tuple(models), config,
-                               program.instructions, program.data,
-                               program.hot_region, scenario.warm,
-                               scenario.warm_l2)
-        payload = disk.get_json("scenarios", fps[key]) if disk else None
-        if isinstance(payload, dict) and set(payload) == set(models):
-            try:
-                results[key] = {m: int(payload[m]) for m in models}
-                continue
-            except (TypeError, ValueError):
-                pass
-        missing.append(key)
-    if missing:
-        cells = parallel_map(_scenario_cell,
-                             [(key, tuple(models), config) for key in missing],
-                             workers=jobs)
-        for key, cycles in zip(missing, cells):
-            results[key] = cycles
-            if disk is not None:
-                disk.put_json("scenarios", fps[key], cycles)
-    if disk is not None:
-        disk.flush_counters()
-    return {key: results[key] for key in keys}
+def run_all_scenarios(models=MODELS, config: ExperimentConfig | None = None
+                      ) -> dict[str, dict[str, int]]:
+    """Cycles for every Figure 1 scenario: results[key][model]."""
+    return {key: run_scenario(build(), models, config)
+            for key, build in SCENARIOS.items()}

@@ -105,10 +105,6 @@ class Assembler:
             labels=dict(self._labels),
             data=dict(self._data),
             name=self._name,
-            # hot_region keeps its historical single-range shape (the
-            # last declaration) for fingerprints and existing callers;
-            # hot_regions carries the full set for warm-up.
-            hot_region=self._hot_regions[-1] if self._hot_regions else None,
             hot_regions=tuple(self._hot_regions),
             # Single whole-program phase region: every assembled program
             # reports one attribution bucket; the phase composer

@@ -48,14 +48,11 @@ class Program:
     labels: dict[str, int] = field(default_factory=dict)
     data: dict[int, int | float] = field(default_factory=dict)
     name: str = "program"
-    #: Optional [lo, hi) byte range that stays L1-resident in steady
-    #: state (workload kernels declare their hot tables; the timing
-    #: models' warm-up pre-installs exactly this range in the L1D).
-    hot_region: tuple[int, int] | None = None
-    #: Every declared hot range, in declaration order.  Single-region
-    #: programs (the named suite) carry one entry equal to
-    #: ``hot_region``; composed multi-phase programs (``repro.wgen``)
-    #: carry one per phase that declared one — warm-up installs all.
+    #: Every declared [lo, hi) byte range that stays L1-resident in
+    #: steady state, in declaration order: workload kernels declare
+    #: their hot tables, composed multi-phase programs (``repro.wgen``)
+    #: one per phase that declared one, and the timing models' warm-up
+    #: pre-installs them all in the L1D.
     hot_regions: tuple[tuple[int, int], ...] = ()
     #: Static phase map: ``(name, lo_index, hi_index)`` half-open
     #: instruction-index ranges in ascending, contiguous order.  The
@@ -63,8 +60,8 @@ class Program:
     #: (:mod:`repro.wgen.compose`) declares one per phase.  Timing
     #: models bucket committed stats by these regions (observation
     #: only — never timing input), so the field is deliberately outside
-    #: every fingerprint: job digests hash the workload reference and
-    #: warm digests hash instructions/data/hot regions, not this.
+    #: every fingerprint: job digests hash the workload reference, not
+    #: this.
     phase_regions: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self) -> None:

@@ -5,9 +5,9 @@ changes how configs canonicalise (field order, a renamed field, a new
 default) every existing store record silently goes cold — campaigns
 recompute everything and the store quietly doubles in size.  This test
 makes that drift loud by pinning the fingerprints of a small
-model x kernel grid (plus the warm-checkpoint sub-fingerprints) as
-checked-in fixtures.  Pytest itself is a fresh process, so a green run
-also proves cross-process byte-stability (no salted hashing anywhere).
+model x kernel grid as checked-in fixtures.  Pytest itself is a fresh
+process, so a green run also proves cross-process byte-stability (no
+salted hashing anywhere).
 
 If a PR changes fingerprints *deliberately* (a new ExperimentConfig
 field, say), regenerate and say so in the PR description — and bump
@@ -26,7 +26,6 @@ import sys
 import pytest
 
 from repro.exec import SimJob, fingerprint
-from repro.exec.store import warm_fingerprint, warm_geometry_key
 from repro.harness.experiment import MODELS, ExperimentConfig
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__),
@@ -47,19 +46,6 @@ def job_fingerprints() -> dict[str, str]:
             for kernel in GRID_KERNELS for model in MODELS}
 
 
-def warm_fingerprints() -> dict[str, str]:
-    """Warm-checkpoint keys at the standard hpca09 geometry.
-
-    Uses the production key builder (`warm_geometry_key`) so a change
-    to the key composition shows up here as fixture drift.
-    """
-    from repro.workloads.suite import build_kernel
-
-    key = warm_geometry_key(grid_config().machine_config())
-    return {kernel: warm_fingerprint(build_kernel(kernel).program, key)
-            for kernel in GRID_KERNELS}
-
-
 def load_fixtures() -> dict:
     with open(FIXTURE_PATH) as handle:
         return json.load(handle)
@@ -77,11 +63,6 @@ def test_job_fingerprints_match_golden_fixture():
             "is deliberate, regenerate with --regen and note it in the PR."
         )
     assert actual.keys() == fixtures["jobs"].keys()
-
-
-def test_warm_fingerprints_match_golden_fixture():
-    fixtures = load_fixtures()
-    assert warm_fingerprints() == fixtures["warm"]
 
 
 def test_fingerprints_stable_across_hash_seeds():
@@ -122,13 +103,11 @@ def regenerate() -> None:
         "kernels": list(GRID_KERNELS),
         "models": list(MODELS),
         "jobs": job_fingerprints(),
-        "warm": warm_fingerprints(),
     }
     with open(FIXTURE_PATH, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(payload['jobs'])} job + {len(payload['warm'])} warm "
-          f"fingerprints to {FIXTURE_PATH}")
+    print(f"wrote {len(payload['jobs'])} job fingerprints to {FIXTURE_PATH}")
 
 
 if __name__ == "__main__":
@@ -142,8 +121,7 @@ if __name__ == "__main__":
 def test_fixture_covers_full_grid():
     fixtures = load_fixtures()
     assert len(fixtures["jobs"]) == len(GRID_KERNELS) * len(MODELS)
-    assert len(fixtures["warm"]) == len(GRID_KERNELS)
-    digests = list(fixtures["jobs"].values()) + list(fixtures["warm"].values())
+    digests = list(fixtures["jobs"].values())
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
     assert len(set(digests)) == len(digests)
 

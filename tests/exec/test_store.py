@@ -3,7 +3,8 @@
 The store is the third memo tier; its contract is that a store hit is
 indistinguishable from a fresh simulation.  These tests pin that down:
 exact stat round-trips, version-bump invalidation, corrupt-record
-fallback, warm-checkpoint reuse, and the three-tier ``run_jobs`` path.
+fallback, the three-tier ``run_jobs`` path, and that nothing outside
+that path writes the store.
 All stores live in per-test tmpdirs (the root ``tests/conftest.py``
 fixture), so tier-1 never touches a developer's ``.repro-cache/``.
 """
@@ -14,7 +15,14 @@ import os
 import pytest
 
 from repro.baselines.inorder import InOrderCore
-from repro.exec import RESULT_CACHE, ResultStore, SimJob, default_store, run_jobs
+from repro.exec import (
+    RESULT_CACHE,
+    TRACE_CACHE,
+    ResultStore,
+    SimJob,
+    default_store,
+    run_jobs,
+)
 from repro.exec.store import (
     ENGINE_VERSION,
     STORE_SCHEMA,
@@ -22,9 +30,9 @@ from repro.exec.store import (
     payload_to_result,
     result_to_payload,
     store_enabled,
-    warm_fingerprint,
 )
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.cli import main
+from repro.harness.experiment import MODELS, ExperimentConfig, make_core
 
 CFG = ExperimentConfig(instructions=400)
 
@@ -71,9 +79,9 @@ def test_double_complete_is_payload_idempotent(tmp_path):
     fingerprint = jobs[0].fingerprint
     store = ResultStore(str(tmp_path / "store"))
     assert store.put_result(fingerprint, result)
-    first = store.get_json("results", fingerprint)
+    first = store.get_json(fingerprint)
     assert store.put_result(fingerprint, result)  # the "loser"
-    second = store.get_json("results", fingerprint)
+    second = store.get_json(fingerprint)
     assert (json.dumps(first, sort_keys=True)
             == json.dumps(second, sort_keys=True))
 
@@ -138,7 +146,7 @@ def test_gc_expires_current_records_by_age(tmp_path):
     store.put_result(jobs[0].fingerprint, results[0])
     assert store.gc(older_than_days=1)["expired"] == 0
     assert store.get_result(jobs[0].fingerprint) is not None
-    path = store._record_path("results", jobs[0].fingerprint)
+    path = store._record_path(jobs[0].fingerprint)
     os.utime(path, (1, 1))  # ancient mtime
     assert store.gc(older_than_days=1)["expired"] == 1
     assert ResultStore(root).get_result(jobs[0].fingerprint) is None
@@ -152,7 +160,7 @@ def test_gc_prune_never_touches_foreign_directories(tmp_path):
     store.put_result(jobs[0].fingerprint, results[0])
     bystander = root / "my-project" / "empty-subdir"
     bystander.mkdir(parents=True)
-    path = store._record_path("results", jobs[0].fingerprint)
+    path = store._record_path(jobs[0].fingerprint)
     os.utime(path, (1, 1))
     assert store.gc(older_than_days=1)["expired"] == 1
     assert bystander.is_dir(), "gc pruned a non-store directory"
@@ -182,7 +190,7 @@ def test_corrupt_record_falls_back_to_recompute(tmp_path, damage):
     jobs, results = fresh_results(models=("in-order",))
     fp = jobs[0].fingerprint
     store.put_result(fp, results[0])
-    path = store._record_path("results", fp)
+    path = store._record_path(fp)
     if damage == "truncate":
         with open(path, "r+") as handle:
             handle.truncate(os.path.getsize(path) // 2)
@@ -252,9 +260,9 @@ def test_record_without_phases_key_is_corrupt(tmp_path):
     fp = jobs[0].fingerprint
     store = ResultStore(str(tmp_path / "store"))
     store.put_result(fp, results[0])
-    payload = store.get_json("results", fp)
+    payload = store.get_json(fp)
     del payload["phases"]
-    store.put_json("results", fp, payload)
+    store.put_json(fp, payload)
     reader = ResultStore(str(tmp_path / "store"))
     assert reader.get_result(fp) is None
     assert reader.corrupt == 1
@@ -301,22 +309,39 @@ def test_run_jobs_hits_store_for_every_cell_after_memo_clear(monkeypatch):
             == [result_to_payload(r) for r in second])
 
 
-def test_memo_false_bypasses_store_by_default(tmp_path):
-    jobs = [SimJob("in-order", "mesa_like", CFG)]
-    run_jobs(jobs, workers=1, memo=False)
-    store_root = cache_dir()
-    assert not os.path.exists(os.path.join(store_root, VDIR, ENGINE_VERSION,
-                                           "results"))
+def _grid_jobs():
+    return [SimJob(model, "mesa_like", CFG) for model in MODELS]
 
 
-def test_store_false_disables_disk_tier():
-    RESULT_CACHE.clear()
-    jobs = [SimJob("in-order", "mesa_like", CFG)]
-    run_jobs(jobs, workers=1, store=False)
-    # No result records (warm checkpoints are governed by REPRO_STORE,
-    # not by run_jobs' store= argument).
-    assert not os.path.exists(os.path.join(cache_dir(), VDIR, ENGINE_VERSION,
-                                           "results"))
+def _bare_cores(_monkeypatch):
+    assert store_enabled()
+    trace = TRACE_CACHE.get("mesa_like", CFG.instructions)
+    for model in MODELS:
+        make_core(model, trace, CFG).run()
+
+
+def _run_no_leap(monkeypatch):
+    # The CLI sets REPRO_NO_LEAP in os.environ; register it for restore.
+    monkeypatch.setenv("REPRO_NO_LEAP", "0")
+    assert main(["run", "mesa_like", "all", "-n", "400", "--no-leap"]) == 0
+
+
+@pytest.mark.parametrize("simulate", [
+    _bare_cores,
+    lambda _mp: run_jobs(_grid_jobs(), workers=1, store=False),
+    lambda _mp: run_jobs(_grid_jobs(), workers=1, memo=False),
+    _run_no_leap,
+], ids=["make-core", "store-false", "memo-false", "run-no-leap"])
+def test_no_result_store_means_no_disk_traffic(monkeypatch, simulate):
+    """Only run_jobs' result tier writes the store: building and running
+    cores, or a campaign with that tier off, leaves the root empty."""
+    # A trace some earlier test warmed would hide a disk write.
+    TRACE_CACHE.clear()
+    simulate(monkeypatch)
+    written = [os.path.join(parent, name)
+               for parent, _dirs, names in os.walk(cache_dir())
+               for name in names]
+    assert written == []
 
 
 def test_store_env_toggle(monkeypatch):
@@ -330,7 +355,7 @@ def test_store_env_toggle(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# warm-state checkpoints
+# warm-state snapshots (in-process only)
 # ----------------------------------------------------------------------
 def test_warm_checkpoint_shared_across_models_and_runs(monkeypatch):
     from repro.workloads import trace_by_name
@@ -348,29 +373,9 @@ def test_warm_checkpoint_shared_across_models_and_runs(monkeypatch):
     second = InOrderCore(trace, config=machine)
     assert warmed == [1]
 
-    # Fresh process stand-in: drop the in-RAM snapshot; the disk
-    # checkpoint (keyed by the warm sub-fingerprint) must serve it.
-    del trace.warm_snapshots
-    third = InOrderCore(trace, config=machine)
-    assert warmed == [1], "disk checkpoint was not reused"
-
-    for a, b in ((first, second), (first, third)):
-        assert a.hierarchy.l1d.export_sets() == b.hierarchy.l1d.export_sets()
-        assert a.hierarchy.l1i.export_sets() == b.hierarchy.l1i.export_sets()
-        assert a.hierarchy.l2.export_sets() == b.hierarchy.l2.export_sets()
-    for way_list in third.hierarchy.l2.export_sets():
+    for level in ("l1i", "l1d", "l2"):
+        assert (getattr(first.hierarchy, level).export_sets()
+                == getattr(second.hierarchy, level).export_sets())
+    for way_list in second.hierarchy.l2.export_sets():
         for entry in way_list:
             assert isinstance(entry, tuple)
-
-
-def test_warm_fingerprint_distinguishes_programs_and_geometry():
-    from repro.workloads.suite import build_kernel
-
-    mcf = build_kernel("mcf_like").program
-    gzip = build_kernel("gzip_like").program
-    key_a = ((32768, 2, 32), (32768, 2, 32), (1048576, 8, 64), True, True)
-    key_b = ((32768, 2, 32), (32768, 2, 32), (2097152, 8, 64), True, True)
-    fps = {warm_fingerprint(mcf, key_a), warm_fingerprint(gzip, key_a),
-           warm_fingerprint(mcf, key_b)}
-    assert len(fps) == 3
-    assert warm_fingerprint(mcf, key_a) == warm_fingerprint(mcf, key_a)

@@ -82,14 +82,13 @@ def test_verify_clean_store_counts_every_record(tmp_path):
     audit = store.verify()
     assert audit["ok"] == len(jobs)
     assert audit["quarantined"] == 0
-    assert audit["sections"]["results"]["ok"] == len(jobs)
 
 
 def test_verify_quarantines_torn_records_and_spares_counters(tmp_path):
     store, jobs, _ = _store_with_results(tmp_path, instructions=440)
     # Tear one record mid-write; a campaign would hit this lazily at its
     # next lookup — verify() must find and quarantine it now.
-    victim = store._record_path("results", jobs[0].fingerprint)
+    victim = store._record_path(jobs[0].fingerprint)
     with open(victim, "w", encoding="utf-8") as handle:
         handle.write('{"torn')
     hits, misses = store.hits, store.misses
@@ -105,7 +104,7 @@ def test_verify_quarantines_torn_records_and_spares_counters(tmp_path):
 
 def test_verify_feeds_cache_verify_cli(tmp_path, capsys, monkeypatch):
     store, jobs, _ = _store_with_results(tmp_path, instructions=460)
-    victim = store._record_path("results", jobs[0].fingerprint)
+    victim = store._record_path(jobs[0].fingerprint)
     with open(victim, "w", encoding="utf-8") as handle:
         handle.write("not json")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))

@@ -22,7 +22,7 @@ def test_corrupt_record_is_quarantined_not_deleted(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     result, fp = _computed_result()
     assert store.put_result(fp, result)
-    path = store._record_path("results", fp)
+    path = store._record_path(fp)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{"schema": 2, "truncated')
 
@@ -54,7 +54,7 @@ def test_wrong_shape_payload_is_quarantined(tmp_path):
     result, fp = _computed_result()
     payload = result_to_payload(result)
     del payload["phases"]  # schema v2 requires the key: corrupt shape
-    assert store.put_json("results", fp, payload)
+    assert store.put_json(fp, payload)
     assert store.get_result(fp) is None
     assert store.corrupt == 1
     assert store.hits == 0  # the provisional JSON hit was rolled back
@@ -68,7 +68,7 @@ def test_injected_truncation_corrupts_then_heals(tmp_path):
         assert store.put_result(fp, result)  # the write itself "succeeds"
     assert injector.counts["store_truncate"] == 1
     # torn but atomic: the half-record landed as one stable file
-    assert os.path.exists(store._record_path("results", fp))
+    assert os.path.exists(store._record_path(fp))
 
     assert store.get_result(fp) is None  # detected on the next read
     assert store.corrupt == 1
@@ -97,7 +97,7 @@ def test_clear_removes_quarantine_too(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     result, fp = _computed_result()
     assert store.put_result(fp, result)
-    path = store._record_path("results", fp)
+    path = store._record_path(fp)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("junk")
     assert store.get_result(fp) is None  # quarantines
@@ -112,7 +112,7 @@ def test_cli_quarantine_lists_and_clears(tmp_path, monkeypatch, capsys):
     store = ResultStore(root)
     result, fp = _computed_result()
     assert store.put_result(fp, result)
-    with open(store._record_path("results", fp), "w",
+    with open(store._record_path(fp), "w",
               encoding="utf-8") as handle:
         handle.write("junk")
     assert store.get_result(fp) is None

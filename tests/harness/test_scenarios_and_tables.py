@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.harness.scenarios as scenarios_mod
 from repro.area import PAPER_AREA_MM2, Structure, port_factor, scheme_area
 from repro.harness import ExperimentConfig, run_scenario, table2
 from repro.harness.scenarios import SCENARIOS, run_all_scenarios
@@ -37,50 +36,6 @@ def test_all_six_scenarios_build_and_run():
 @pytest.mark.parametrize("key", sorted(FIGURE1_CYCLES))
 def test_figure1_table_matches_pin(key):
     assert run_all_scenarios()[key] == FIGURE1_CYCLES[key]
-
-
-def test_run_all_scenarios_is_incremental(monkeypatch):
-    """A repeated scenario campaign comes entirely from the disk store."""
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    models = ("in-order", "icfp")
-    first = run_all_scenarios(models=models)
-    computed = []
-    monkeypatch.setattr(
-        scenarios_mod, "_scenario_cell",
-        lambda item: computed.append(item[0]))
-    second = run_all_scenarios(models=models)
-    assert computed == []
-    assert second == first
-
-
-def test_scenario_edit_invalidates_store_record(monkeypatch):
-    """Changing a micro-program's content must bust its store key."""
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    models = ("in-order",)
-    first = run_all_scenarios(models=models)
-
-    real_builder = SCENARIOS["a"]
-
-    def edited_scenario_a():
-        scenario = real_builder()
-        scenario.program.instructions.append(
-            scenario.program.instructions[-1])
-        return scenario
-
-    monkeypatch.setitem(SCENARIOS, "a", edited_scenario_a)
-    computed = []
-    real_cell = scenarios_mod._scenario_cell
-    monkeypatch.setattr(
-        scenarios_mod, "_scenario_cell",
-        lambda item: (computed.append(item[0]), real_cell(item))[1])
-    run_all_scenarios(models=models)
-    assert computed == ["a"], "edited scenario served stale store record"
-
-    # And the untouched scenarios still hit their original records.
-    monkeypatch.setitem(SCENARIOS, "a", real_builder)
-    computed.clear()
-    assert run_all_scenarios(models=models) == first
-    assert computed == []
 
 
 def test_scenario_a_matches_figure_1a():

@@ -32,13 +32,13 @@ def test_hot_region_round_trip():
     a.hot_region(0x1000_0, 0x2000_0)
     a.halt()
     prog = a.assemble()
-    assert prog.hot_region == (0x1000_0, 0x2000_0)
+    assert prog.hot_regions == ((0x1000_0, 0x2000_0),)
 
 
 def test_default_hot_region_is_none():
     a = Assembler()
     a.halt()
-    assert a.assemble().hot_region is None
+    assert a.assemble().hot_regions == ()
 
 
 def test_len_counts_instructions():

@@ -133,4 +133,3 @@ def test_every_phase_hot_region_survives_composition():
     lo0, hi0 = program.hot_regions[0]
     lo1, hi1 = program.hot_regions[1]
     assert hi0 <= lo1  # distinct per-phase regions, in phase order
-    assert program.hot_region == program.hot_regions[-1]

@@ -152,6 +152,6 @@ def test_make_kernel_runs_builder():
 
 
 def test_hot_region_declared_by_table_kernels():
-    assert build_kernel("gap_like").program.hot_region is not None
-    assert build_kernel("gzip_like").program.hot_region is not None
-    assert build_kernel("mcf_like").program.hot_region is None
+    assert build_kernel("gap_like").program.hot_regions
+    assert build_kernel("gzip_like").program.hot_regions
+    assert build_kernel("mcf_like").program.hot_regions == ()
