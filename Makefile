@@ -23,7 +23,7 @@ SMOKE_MARKERS ?= not slow
 # seed — deterministic, so a chaos failure reproduces exactly.
 CHAOS_TESTS ?= tests/faults
 
-.PHONY: test smoke smoke-campaign leap-audit chaos bench bench-warm bench-throughput profile trace
+.PHONY: test smoke smoke-campaign leap-audit chaos bench profile trace
 
 # Fast leap-audit slice for `make smoke`: two miss-heavy kernels at the
 # short budget plus the formerly-divergent cells, leap vs reference
@@ -74,17 +74,15 @@ smoke-campaign:
 chaos:
 	$(PYTHON) -m pytest -x -q $(CHAOS_TESTS)
 
-## Campaign throughput (jobs=1 vs jobs=N, disk-store cold/warm, a
-## seeded generated suite, the phase-attribution on/off delta, the
-## fault-tolerance faults-off-vs-chaos delta, and the trace-off-vs-on
-## obs overhead; every comparison is min-of-3 interleaved) as
-## machine-readable JSON, plus the compact trend record (schema v9).
-## BENCH_throughput.json at the repo root is the checked-in baseline;
-## before overwriting it the fresh record is compared against it and
-## any >20% throughput regression is shouted to stderr.  The repo's layered benchmark (BENCHMARK.json) is
-## `python3 benchmarks/perf/run.py --workload W`.
+## The repo's benchmark (BENCHMARK.json): `benchmarks/perf/run.py` on
+## each of its four workloads in turn, printing every run's report and
+## closing JSON line (`correct`, `failed`, the end-to-end metrics);
+## about 2 min at the default 30 s per workload.  Per-layer costs:
+## `python3 benchmarks/perf/run.py --workload W --trace 1`.
 bench:
-	$(PYTHON) benchmarks/bench_throughput.py --output BENCH_throughput.json
+	for w in fig5-grid miss-bound hit-bound gen-campaign; do \
+		$(PYTHON) benchmarks/perf/run.py --workload $$w || exit 1; \
+	done
 
 ## cProfile one in-process pass of the benchmark's Figure 5 grid
 ## workload and write its top-25 self-time rows to profile.out, each
@@ -92,18 +90,6 @@ bench:
 ## to "what should the next perf change attack".
 profile:
 	$(PYTHON) benchmarks/perf/run.py --profile fig5-grid > profile.out
-
-## Store-hot second-run benchmark: only the cold/warm store phase,
-## against a persistent store under .repro-cache/ — the first
-## invocation populates it, every later one measures a fully
-## incremental (store-hit) campaign from a fresh process.
-bench-warm:
-	$(PYTHON) benchmarks/bench_throughput.py --store-only \
-		--store-dir .repro-cache/bench
-
-## Full throughput report only (no trend record).
-bench-throughput:
-	$(PYTHON) benchmarks/bench_throughput.py
 
 ## Traced smoke campaign: run the fast-profile grid on a 2-worker pool
 ## with span tracing on, then export the merged obs logs to a Chrome

@@ -2,7 +2,7 @@
 
 from .icfp import ADVANCE, ICFPCore, ICFPFeatures, NORMAL, SIMPLE_RA
 from .poison import PoisonAllocator
-from .regfile import MainRegFile, ScratchRegFile
+from .regfile import MainRegFile
 from .signature import LoadSignature
 from .slice_buffer import SliceBuffer, SliceEntry
 from .store_buffer import ChainedStoreBuffer, ForwardResult, IndexedStall
@@ -15,7 +15,6 @@ __all__ = [
     "SIMPLE_RA",
     "PoisonAllocator",
     "MainRegFile",
-    "ScratchRegFile",
     "LoadSignature",
     "SliceBuffer",
     "SliceEntry",

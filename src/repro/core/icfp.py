@@ -34,7 +34,7 @@ from ..isa.registers import NUM_REGS, ZERO_REG
 from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
                                 MemResult)
 from .poison import PoisonAllocator
-from .regfile import MainRegFile, ScratchRegFile
+from .regfile import MainRegFile
 from .signature import LoadSignature
 from .slice_buffer import SliceBuffer, SliceEntry
 from .store_buffer import ChainedStoreBuffer, ForwardResult, IndexedStall
@@ -109,7 +109,6 @@ class ICFPCore(CoreModel):
         #: alive until the cycle collector runs.
         self._mode_issue = type(self)._try_issue_normal
         self.main_rf = MainRegFile()
-        self.scratch_rf = ScratchRegFile()
         self.slice = SliceBuffer(f.slice_entries)
         self.slice_by_seq: dict[int, SliceEntry] = {}
         self.sb = ChainedStoreBuffer(

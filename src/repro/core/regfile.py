@@ -13,8 +13,13 @@ otherwise a younger advance instruction already produced the
 architecturally-latest value and the write would be a WAW violation
 (Figure 3's first rally suppresses exactly such writes to r3/r4).
 
-The *scratch* register file (RF1, borrowed from the second SMT context)
-carries values, poison, and ready-times used while re-executing slices.
+The paper re-executes slices against a *scratch* register file (RF1,
+borrowed from the second SMT context).  This model binds rally inputs
+per slice entry instead: each :class:`~repro.core.slice_buffer.SliceEntry`
+holds the inputs that were ready at capture (``captured``) and names the
+slice instruction producing each poisoned one (``producer_seq``).  A
+rally binds such an input to its producer's ``result_value``, ready at
+the producer's ``done_cycle``, or to RF0 once the producer has merged.
 """
 
 from __future__ import annotations
@@ -116,38 +121,3 @@ class MainRegFile:
         if not poison_mask:
             self.values[reg] = value
         return True
-
-
-class ScratchRegFile:
-    """RF1: temporary storage for slice re-execution (rallies).
-
-    Tracks, per register: the value produced by the youngest processed
-    slice instruction, its poison vector, the cycle the value becomes
-    available (for rally timing), and the seq of the slice instruction
-    that wrote it (so rally consumers bind to the right producer).
-    """
-
-    def __init__(self) -> None:
-        self.values: list = [0] * NUM_REGS
-        self.poison: list[int] = [0] * NUM_REGS
-        self.ready: list[int] = [0] * NUM_REGS
-        self.writer_seq: list[int] = [NO_WRITER] * NUM_REGS
-
-    def clear(self) -> None:
-        self.values = [0] * NUM_REGS
-        self.poison = [0] * NUM_REGS
-        self.ready = [0] * NUM_REGS
-        self.writer_seq = [NO_WRITER] * NUM_REGS
-
-    def write(self, reg: int, value, seq: int, ready_cycle: int,
-              poison_mask: int = 0) -> None:
-        if reg == ZERO_REG:
-            return
-        self.values[reg] = value
-        self.poison[reg] = poison_mask
-        self.ready[reg] = ready_cycle
-        self.writer_seq[reg] = seq
-
-    def read(self, reg: int):
-        """(value, poison_mask, ready_cycle)."""
-        return self.values[reg], self.poison[reg], self.ready[reg]

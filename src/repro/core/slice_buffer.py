@@ -29,9 +29,9 @@ class SliceEntry:
     ``captured`` maps source-register index -> value for the inputs that
     were *not* poisoned at capture time (the "SL" operands of Figure 3);
     poisoned inputs bind to their producing slice instruction via
-    ``producer_seq`` and are re-read (architecturally, through the
-    scratch register file / bypass) during rallies.  Re-poisoned visits
-    capture inputs that have since become available, so later passes
+    ``producer_seq`` and take its ``result_value`` during rallies (the
+    paper reads them through the scratch register file).  Re-poisoned
+    visits capture inputs that have since become available, so later passes
     never chase stale producers.  ``ssn_limit`` records the store-buffer
     tail at capture so re-executing loads only forward from older
     stores; ``ssn`` names the store-buffer slot of a sliced store.

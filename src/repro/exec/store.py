@@ -1,8 +1,8 @@
 """On-disk, content-addressed result store — the third memo tier.
 
 The in-process caches (:mod:`.cache`) die with the process, so every
-CLI invocation, ``make bench``, and CI run used to re-simulate the full
-grid from zero.  This module makes results *durable*: a directory of
+CLI invocation and CI run used to re-simulate the full grid from
+zero.  This module makes results *durable*: a directory of
 JSON records under ``REPRO_CACHE_DIR`` (default ``.repro-cache/``),
 keyed by the engine's existing sha256 job fingerprint.  The full lookup
 path for a campaign cell is then
@@ -346,12 +346,6 @@ class ResultStore:
     def put_result(self, fp: str, result: SimResult) -> bool:
         with obs_trace.span("store.flush", fp=fp[:16]):
             return self.put_json(fp, result_to_payload(result))
-
-    def put_results(self, pairs) -> None:
-        """Batched flush (the engine calls this once per pool batch)."""
-        for fp, result in pairs:
-            if not self.put_result(fp, result):
-                return  # unwritable store: don't retry per record
 
     # -- lifetime counters ---------------------------------------------
     def _counters_path(self) -> str:

@@ -50,14 +50,6 @@ class ArchState:
     def copy(self) -> "ArchState":
         return ArchState(regs=list(self.regs), memory=dict(self.memory))
 
-    def registers_equal(self, other: "ArchState") -> bool:
-        return self.regs == other.regs
-
-    def memory_equal(self, other: "ArchState") -> bool:
-        """Compare memories, treating absent words as zero."""
-        keys = self.memory.keys() | other.memory.keys()
-        return all(self.memory.get(k, 0) == other.memory.get(k, 0) for k in keys)
-
     def diff(self, other: "ArchState") -> list[str]:
         """Human-readable mismatches (for test failure messages)."""
         from ..isa.registers import reg_name

@@ -52,7 +52,12 @@ import signal
 import sys
 
 from ..workloads import ALL_KERNELS
-from .experiment import MODELS, ExperimentConfig, run_workload
+from .experiment import (
+    MODELS,
+    ExperimentConfig,
+    default_instructions,
+    run_workload,
+)
 from .figures import (
     figure5,
     figure6,
@@ -69,16 +74,21 @@ from .sweep import chain_table_sweep, format_sweep, poison_bits_sweep
 from .tables import format_area_table, format_table2, table2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_workload_args(parser: argparse.ArgumentParser,
+                       machine: bool = True) -> None:
     parser.add_argument("-n", "--instructions", type=int, default=None,
                         help="dynamic instructions per kernel")
     parser.add_argument("-w", "--workloads", type=str, default=None,
                         help="comma-separated workload references: kernel "
                              "names, @specfile.json, gen:N[:SEED]")
-    parser.add_argument("--l2-latency", type=int, default=20,
-                        help="L2 hit latency in cycles (Table 1: 20)")
-    parser.add_argument("--cold", action="store_true",
-                        help="skip the cache warm-up phase")
+    if machine:
+        parser.add_argument("--l2-latency", type=int, default=20,
+                            help="L2 hit latency in cycles (Table 1: 20)")
+        parser.add_argument("--cold", action="store_true",
+                            help="skip the cache warm-up phase")
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-j", "--jobs", type=int, default=None,
                         help="simulation worker processes (default: "
                              "REPRO_JOBS, then all CPUs; 1 = sequential)")
@@ -399,15 +409,15 @@ def cmd_wgen(args) -> None:
         else:
             print(_json.dumps(payload, indent=1, sort_keys=True))
     elif args.action == "characterize":
-        _apply_jobs(args)
-        config = _config(args)
         workloads = _workloads(args)
         if workloads is None:
             raise SystemExit(
                 "wgen characterize needs -w (e.g. -w gen:8:7, "
                 "-w @suite.json, or kernel names)"
             )
-        rows = wgen.characterize_suite(workloads, config.instructions)
+        instructions = (default_instructions() if args.instructions is None
+                        else args.instructions)
+        rows = wgen.characterize_suite(workloads, instructions)
         print(wgen.format_characterizations(rows))
     else:  # list
         from ..workloads import ARCHETYPES
@@ -523,8 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Runs InOrderCore in-process, never through run_jobs: the campaign
+    # flags would change nothing it prints.
+    p = sub.add_parser("characterize", help="in-order kernel characterisation")
+    _add_workload_args(p)
+    p.set_defaults(fn=cmd_characterize)
+
     for name, fn, doc in (
-        ("characterize", cmd_characterize, "in-order kernel characterisation"),
         ("figure5", cmd_figure5, "speedup over in-order (headline)"),
         ("figure6", cmd_figure6, "L2 hit-latency sensitivity"),
         ("figure7", cmd_figure7, "SLTP -> iCFP feature build"),
@@ -532,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("table2", cmd_table2, "miss rates, MLP, rally overhead"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        _add_workload_args(p)
+        _add_campaign_args(p)
         p.set_defaults(fn=fn)
 
     # Fixed tables: no budget, workload, machine or campaign knob
@@ -544,18 +560,21 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, help=doc).set_defaults(fn=fn)
 
     p = sub.add_parser("phases", help="per-phase attribution breakdown")
-    _add_common(p)
+    _add_workload_args(p)
+    _add_campaign_args(p)
     p.add_argument("-m", "--model", choices=MODELS + ("all",), default="all",
                    help="restrict to one machine model (default: all)")
     p.set_defaults(fn=cmd_phases)
 
     p = sub.add_parser("sweep", help="chain-table / poison-bit sweeps")
-    _add_common(p)
+    _add_workload_args(p)
+    _add_campaign_args(p)
     p.add_argument("parameter", choices=("chain-table", "poison-bits"))
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("run", help="run one workload on one model")
-    _add_common(p)
+    _add_workload_args(p)
+    _add_campaign_args(p)
     p.add_argument("kernel", metavar="workload",
                    help="suite kernel name or a generated workload name "
                         "(preload its spec file with -w @file.json)")
@@ -566,8 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "bypasses the result store for this run)")
     p.set_defaults(fn=cmd_run)
 
+    # Functional only: no machine or campaign knob reaches wgen.
     p = sub.add_parser("wgen", help="generate / characterize workloads")
-    _add_common(p)
+    _add_workload_args(p, machine=False)
     p.add_argument("action", choices=("generate", "characterize", "list"))
     p.add_argument("-N", "--count", type=int, default=8,
                    help="generate: number of workloads (default 8)")

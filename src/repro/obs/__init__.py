@@ -5,16 +5,16 @@ Zero-dependency observability for the whole execution stack:
 - :mod:`repro.obs.trace` — structured span tracing to append-only
   per-process JSONL logs under ``<store>/obs/``, activated by
   ``REPRO_TRACE`` / ``--trace``; off costs one module-level check.
-- :mod:`repro.obs.metrics` — named counters/gauges/histograms with
+- :mod:`repro.obs.metrics` — named counters and histograms with
   merge-safe snapshots; the one facility behind CampaignReport tallies,
   store counters, and the engine's leap-audit probes (pool workers
   publish theirs per attempt).
 - :mod:`repro.obs.export` — merge obs logs, export Chrome trace-event
   JSON (``repro obs export --chrome``) for Perfetto timelines.
 
-The non-negotiable contract (pinned in tier-1, measured by
-``make bench``): tracing on vs. off is byte-identical in every result
-and stat — spans observe, they never steer.
+The non-negotiable contract (pinned in tier-1): tracing on vs. off is
+byte-identical in every result and stat — spans observe, they never
+steer.
 """
 
 from . import metrics

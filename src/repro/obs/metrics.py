@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named counters and histograms.
 
 One merge-safe facility behind every tally in the stack.  The
 :class:`~repro.exec.report.CampaignReport` counters, the store's
@@ -7,7 +7,7 @@ all mirror into a process-local :class:`MetricsRegistry`, whose
 snapshot (:meth:`MetricsRegistry.snapshot`) is a plain JSON-able dict
 designed so that snapshots from *any* number of processes merge by
 addition (:func:`merge_snapshots`) — counters and histogram buckets
-sum, gauges keep the latest sample.
+sum.
 
 Everything is stdlib, allocation-light, and safe to leave enabled:
 an ``inc()`` is a dict probe and an integer add.  The expensive parts
@@ -36,21 +36,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """Last-observed value; merges by latest sample (seq-stamped)."""
-
-    __slots__ = ("name", "value", "seq")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.seq = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.seq += 1
 
 
 class Histogram:
@@ -92,7 +77,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -100,13 +84,6 @@ class MetricsRegistry:
         if inst is None:
             with self._lock:
                 inst = self._counters.setdefault(name, Counter(name))
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            with self._lock:
-                inst = self._gauges.setdefault(name, Gauge(name))
         return inst
 
     def histogram(self, name: str) -> Histogram:
@@ -125,13 +102,10 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A JSON-able snapshot; the unit :func:`merge_snapshots` takes."""
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        out: dict = {"counters": {}, "histograms": {}}
         for name, c in self._counters.items():
             if c.value:
                 out["counters"][name] = c.value
-        for name, g in self._gauges.items():
-            if g.seq:
-                out["gauges"][name] = {"value": g.value, "seq": g.seq}
         for name, h in self._histograms.items():
             if h.count:
                 out["histograms"][name] = {
@@ -144,26 +118,20 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
 def merge_snapshots(snapshots) -> dict:
     """Fold any number of per-process snapshots into one.
 
-    Counters and histogram count/sum/buckets add; min/max widen; a
-    gauge keeps the sample with the highest ``seq`` (ties: last wins).
+    Counters and histogram count/sum/buckets add; min/max widen.
     """
-    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+    merged: dict = {"counters": {}, "histograms": {}}
     for snap in snapshots:
         if not isinstance(snap, dict):
             continue
         for name, value in snap.get("counters", {}).items():
             merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, sample in snap.get("gauges", {}).items():
-            held = merged["gauges"].get(name)
-            if held is None or sample.get("seq", 0) >= held.get("seq", 0):
-                merged["gauges"][name] = dict(sample)
         for name, hist in snap.get("histograms", {}).items():
             held = merged["histograms"].setdefault(
                 name, {"count": 0, "sum": 0.0, "min": None, "max": None,
@@ -190,10 +158,6 @@ REGISTRY = MetricsRegistry()
 
 def counter(name: str) -> Counter:
     return REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return REGISTRY.gauge(name)
 
 
 def histogram(name: str) -> Histogram:

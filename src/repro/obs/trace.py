@@ -14,9 +14,10 @@ Tracing is off unless ``REPRO_TRACE`` is set (the CLI's ``--trace``
 sets it).  The hot-path guard is a single module-level check:
 ``TRACER is None`` — :func:`span`/:func:`event` return a shared no-op
 immediately, and engine-level probes skip collection entirely.  The
-observation-only law (pinned in tier-1, measured by ``make bench``):
-tracing on vs. off is byte-identical in every result and stat, and the
-off cost is ~zero.
+observation-only law (pinned in tier-1): tracing on vs. off is
+byte-identical in every result and stat, and the off cost is ~zero
+(the repo's benchmark runs with tracing off, so that cost is inside
+every ``sim_kips`` it reports).
 
 Durability: one file per process under ``<store>/obs/``
 (``REPRO_OBS_DIR`` overrides), append-only, one JSON object per line,

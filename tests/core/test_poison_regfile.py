@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.poison import PoisonAllocator
-from repro.core.regfile import NO_WRITER, MainRegFile, ScratchRegFile
+from repro.core.regfile import NO_WRITER, MainRegFile
 from repro.memory.mshr import MSHR
 
 
@@ -132,22 +132,3 @@ def test_rally_write_lands_when_last_writer_matches():
     assert rf.write_rally(4, 12, seq=8)
     assert rf.read(4) == (12, 0)
     assert not rf.any_poisoned()
-
-
-# ----------------------------------------------------------------------
-# scratch register file
-# ----------------------------------------------------------------------
-def test_scratch_write_read_clear():
-    rf = ScratchRegFile()
-    rf.write(5, 99, seq=2, ready_cycle=10, poison_mask=0)
-    assert rf.read(5) == (99, 0, 10)
-    assert rf.writer_seq[5] == 2
-    rf.clear()
-    assert rf.read(5) == (0, 0, 0)
-    assert rf.writer_seq[5] == NO_WRITER
-
-
-def test_scratch_ignores_r0():
-    rf = ScratchRegFile()
-    rf.write(0, 1, seq=1, ready_cycle=1)
-    assert rf.read(0) == (0, 0, 0)

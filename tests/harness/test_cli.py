@@ -32,10 +32,19 @@ def test_area_command(capsys):
     ("scenarios", "--l2-latency", "40"),
     ("scenarios", "-j", "2"),
     ("area", "--cold"),
+    ("characterize", "-j", "2"),
+    ("characterize", "--faults", "seed=1,job_exception=1.0"),
+    ("characterize", "--trace"),
+    ("wgen", "generate", "--l2-latency", "40"),
+    ("wgen", "characterize", "--cold"),
+    ("wgen", "list", "-j", "2"),
 ], ids=" ".join)
 def test_fixed_tables_reject_campaign_flags(argv):
-    """Figure 1 and the area table take no budget, workload, machine or
-    campaign knob; accepting one would print the same table silently."""
+    """A command accepts only the knobs that change what it prints:
+    Figure 1 and the area table take none, `characterize` (one
+    in-process in-order run per kernel) no campaign knob, and `wgen`
+    (functional only) just -n and -w.  Accepting one would print the
+    same output silently."""
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2

@@ -1,9 +1,9 @@
 """Metrics registry: instruments, snapshots, cross-process merging.
 
 The merge law the fleet relies on: snapshots from any number of
-processes fold by addition (counters, histogram counts/sums/buckets)
-or by latest sample (gauges), so per-worker registries published
-through the obs log always reconstruct the campaign totals.
+processes fold by addition (counters, histogram counts/sums/buckets),
+so per-worker registries published through the obs log always
+reconstruct the campaign totals.
 """
 
 import json
@@ -16,10 +16,6 @@ def test_counter_gauge_histogram_basics():
     reg.counter("jobs").inc()
     reg.counter("jobs").inc(4)
     assert reg.counter("jobs").value == 5
-    reg.gauge("depth").set(3.5)
-    reg.gauge("depth").set(2.0)
-    assert reg.gauge("depth").value == 2.0
-    assert reg.gauge("depth").seq == 2
     h = reg.histogram("lat")
     for v in (1, 3, 3, 100):
         h.observe(v)
@@ -52,11 +48,9 @@ def test_snapshot_is_json_able_and_drops_idle_instruments():
     reg = MetricsRegistry()
     reg.counter("touched").inc()
     reg.counter("never")  # created but zero: not in the snapshot
-    reg.gauge("unset")
     reg.histogram("empty")
     snap = json.loads(json.dumps(reg.snapshot()))
     assert snap["counters"] == {"touched": 1}
-    assert snap["gauges"] == {}
     assert snap["histograms"] == {}
 
 
@@ -75,26 +69,12 @@ def test_merge_snapshots_adds_counters_and_buckets():
     assert hist["buckets"] == {"2": 1, "3": 1}
 
 
-def test_merge_snapshots_gauge_keeps_highest_seq():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.gauge("g").set(1.0)           # seq 1
-    b.gauge("g").set(9.0)
-    b.gauge("g").set(7.0)           # seq 2: fresher
-    merged = merge_snapshots([a.snapshot(), b.snapshot()])
-    assert merged["gauges"]["g"]["value"] == 7.0
-    # Order-independent when one side is strictly fresher.
-    flipped = merge_snapshots([b.snapshot(), a.snapshot()])
-    assert flipped["gauges"]["g"]["value"] == 7.0
-
-
 def test_merge_snapshots_tolerates_junk_and_empty():
     good = MetricsRegistry()
     good.counter("c").inc()
     merged = merge_snapshots([None, "junk", {}, good.snapshot()])
     assert merged["counters"] == {"c": 1}
-    assert merge_snapshots([]) == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
+    assert merge_snapshots([]) == {"counters": {}, "histograms": {}}
 
 
 def test_clear_resets_the_registry():
