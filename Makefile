@@ -64,12 +64,12 @@ smoke-campaign:
 	REPRO_INSTRUCTIONS=$(SMOKE_INSTRUCTIONS) \
 	$(PYTHON) -m repro figure5 -w $(SMOKE_WORKLOADS)
 
-## The complete fault-injection matrix, slow tests included: injected
-## worker deaths and exceptions retried to byte-identical results, pool
-## resurrection and sequential degradation, per-job timeouts, a real
-## SIGKILL mid-campaign (sequential and pooled) with fresh-process
-## resume, pool workers exiting with a SIGKILLed coordinator, and store
-## truncation -> quarantine -> heal.  Everything is seed-driven (no
+## The complete fault-injection matrix, slow tests included: jobs lost
+## to injected worker deaths re-run to byte-identical results, pool
+## resurrection and sequential degradation, per-job timeouts that fail
+## only the overdue cell, a real SIGKILL mid-campaign (sequential and
+## pooled) with fresh-process resume, pool workers exiting with a
+## SIGKILLed coordinator, and store truncation -> quarantine -> heal.  Everything is seed-driven (no
 ## randomness), so failures replay deterministically.
 chaos:
 	$(PYTHON) -m pytest -x -q $(CHAOS_TESTS)

@@ -22,10 +22,9 @@ def hermetic_result_store(tmp_path, monkeypatch):
     """Benchmarks must not read or pollute a developer's .repro-cache/."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    # Ambient chaos / retry / timeout knobs would skew every timing
-    # below; the figure scripts always run fault-free.
+    # Ambient chaos / timeout knobs would skew every timing below; the
+    # figure scripts always run fault-free.
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
 
 

@@ -77,9 +77,6 @@ class MainRegFile:
         """(value, poison_mask) of ``reg``."""
         return self.values[reg], self.poison[reg]
 
-    def poison_of(self, reg: int) -> int:
-        return self.poison[reg]
-
     def any_poisoned(self) -> bool:
         return any(self.poison)
 

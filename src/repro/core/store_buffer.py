@@ -96,9 +96,6 @@ class ChainedStoreBuffer:
     def empty(self) -> bool:
         return len(self) == 0
 
-    def _live(self, ssn: int) -> bool:
-        return self.ssn_complete < ssn < self.ssn_tail
-
     def entry(self, ssn: int) -> _Entry:
         entry = self._entries[ssn % self.capacity]
         if entry.ssn != ssn:

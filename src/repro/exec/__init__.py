@@ -22,11 +22,12 @@ executes them through one engine that
   ``jobs=1``, and guarantees results identical to sequential execution
   (simulations are deterministic functions of their job spec) — the one
   parallel path;
-* **survives faults** (:mod:`.engine` + :mod:`.faults`): per-job
-  timeouts (``REPRO_JOB_TIMEOUT``), bounded retries with capped
-  exponential backoff (``REPRO_RETRIES``), pool resurrection after
-  worker death with surviving results kept, graceful degradation to
-  sequential execution, incremental store flush (crash-resume for
+* **survives faults** (:mod:`.engine` + :mod:`.faults`): a failed job
+  fails once and alone (a deterministic job would fail again, so
+  nothing retries it), a per-job timeout (``REPRO_JOB_TIMEOUT``) fails
+  only the overdue cell, jobs lost with a dead worker re-run on a
+  resurrected pool with surviving results kept, graceful degradation
+  to sequential execution, incremental store flush (crash-resume for
   free), pool workers that exit with a killed coordinator,
   corrupt-record quarantine, and a deterministic chaos harness
   (``REPRO_FAULTS``) that proves all of it — with every incident
@@ -35,16 +36,14 @@ executes them through one engine that
 
 from .cache import RESULT_CACHE, TRACE_CACHE, ResultCache, TraceCache
 from .engine import (
-    RetryExhaustedError,
-    RetryPolicy,
     default_jobs,
+    job_timeout,
     parallel_map,
     run_jobs,
 )
 from .faults import (
     FaultInjector,
     FaultPlan,
-    InjectedFault,
     active_injector,
     injected_faults,
     set_fault_plan,
@@ -66,13 +65,11 @@ __all__ = [
     "run_jobs",
     "parallel_map",
     "default_jobs",
-    "RetryPolicy",
-    "RetryExhaustedError",
+    "job_timeout",
     "CampaignReport",
     "JobFailure",
     "FaultPlan",
     "FaultInjector",
-    "InjectedFault",
     "injected_faults",
     "set_fault_plan",
     "active_injector",

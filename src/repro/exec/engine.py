@@ -3,8 +3,8 @@
 ``run_jobs`` is the one entry point the harness uses.  It guarantees
 results identical to sequential execution: a simulation is a
 deterministic function of its :class:`~repro.exec.job.SimJob` spec, so
-where the result is computed (this process, a pooled worker, a retried
-attempt after a crash, an earlier call via the memo, or an earlier
+where the result is computed (this process, a pooled worker, a re-run
+after its worker died, an earlier call via the memo, or an earlier
 *run* via the disk store) cannot change it.
 
 Each fresh fingerprint resolves through three tiers:
@@ -16,31 +16,34 @@ Each fresh fingerprint resolves through three tiers:
    cell, not from zero,
 3. compute (the pool, or in-process at ``jobs=1``).
 
-Fault tolerance: jobs are submitted as individual futures, not a
-``pool.map`` batch, so
+Determinism also means a job that raised would raise again, so a job
+attempt ends one of three ways:
 
-* a per-job wall-clock timeout (:class:`RetryPolicy.job_timeout`,
-  ``REPRO_JOB_TIMEOUT``) reaps slow cells and retries them;
-* a retryable failure (an injected chaos fault, a timeout) is
-  re-submitted with capped exponential backoff, at most
-  :class:`RetryPolicy.max_attempts` (``REPRO_RETRIES`` + 1) times;
-* a dead worker (``BrokenProcessPool`` — the OOM-killer case) costs
-  only the in-flight work: completed futures keep their results, the
-  pool is resurrected, and unfinished jobs are resubmitted with the
-  lost attempt refunded;
-* after :class:`RetryPolicy.max_pool_breaks` pool deaths the engine
-  degrades gracefully to sequential in-process execution (with a fresh
-  retry budget), which always terminates;
-* a dead coordinator (SIGKILL, OOM) cannot shut its pool down, so each
-  pool worker watches its parent and exits when it is gone;
-* everything the engine absorbed is tallied in a
-  :class:`~repro.exec.report.CampaignReport` — robustness is
-  observable, never silent.
+* it completes;
+* it fails for good: its own exception, or the per-job wall-clock
+  timeout (:func:`job_timeout`, ``REPRO_JOB_TIMEOUT``, pooled runs
+  only).  With a timeout set, at most one job per worker is in flight,
+  so the timeout times the attempt itself, never a wait in the pool's
+  queue;
+* it is lost with its worker and re-runs for free: a dead worker
+  (``BrokenProcessPool`` — the OOM-killer case) or a pool torn down
+  to reap an overdue sibling costs only the in-flight work.  Completed
+  futures keep their results, the pool is resurrected, and the
+  casualties re-run on it (counted in ``CampaignReport.retries``).
 
-Failures that survive retries are *annotated* with the failing job's
-fingerprint and workload, and ``disk.flush_counters()`` plus every
-already-completed result's store flush happen regardless (try/finally),
-so one bad cell never discards its siblings' work.
+After :data:`MAX_POOL_BREAKS` pool deaths the engine degrades to
+sequential in-process execution, which always terminates.  A dead
+coordinator (SIGKILL, OOM) cannot shut its pool down, so each pool
+worker watches its parent and exits when it is gone.  Everything the
+engine absorbed is tallied in a
+:class:`~repro.exec.report.CampaignReport` — robustness is observable,
+never silent.
+
+A failed job's exception is *annotated* with its fingerprint and
+workload, and ``disk.flush_counters()`` plus every already-completed
+result's store flush happen regardless (try/finally), so one bad cell
+never discards its siblings' work; rerunning the command recomputes
+only the failed cells.
 
 Deterministic fault injection lives in :mod:`repro.exec.faults`
 (``REPRO_FAULTS`` / :func:`~repro.exec.faults.injected_faults`).
@@ -52,8 +55,7 @@ Worker count resolution, everywhere in the engine:
 3. ``os.cpu_count()``.
 
 ``jobs=1`` (however it was resolved) runs sequentially in-process — no
-pool, no pickling, no forked interpreters (but still with bounded
-retries for injected faults).
+pool, no pickling, no forked interpreters.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from ..obs import trace as obs_trace
 from .cache import RESULT_CACHE
-from .faults import InjectedFault, active_injector, mark_worker_process
+from .faults import active_injector, mark_worker_process
 from .report import CampaignReport, JobFailure
 
 
@@ -91,68 +92,24 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-class RetryExhaustedError(RuntimeError):
-    """A job failed every allowed attempt; carries its identity."""
-
-    def __init__(self, label: str, fingerprint: str, attempts: int,
-                 last: BaseException) -> None:
-        super().__init__(
-            f"job {label} (fingerprint {fingerprint[:16]}) failed "
-            f"{attempts} attempts; last error: {last}")
-        self.label = label
-        self.fingerprint = fingerprint
-        self.attempts = attempts
-        self.__cause__ = last
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Fault-tolerance knobs for one campaign.
-
-    ``max_attempts`` bounds a job's own failed executions *per regime*
-    (pooled, then sequential-degraded).  Pool casualties say nothing
-    about the job itself: an attempt lost to a worker death or a pool
-    teardown is refunded, and degradation grants a fresh budget.
-    ``job_timeout`` (seconds, pooled execution only) reaps attempts
-    that overrun it; a timed-out attempt stays charged.
-    Backoff before a retry is ``min(cap, base * 2**(attempt-1))``.
-    ``max_pool_breaks`` worker-pool deaths are survived by resurrection
-    before the engine degrades to sequential in-process execution.
-    """
-
-    max_attempts: int = 4
-    job_timeout: float | None = None
-    backoff_base: float = 0.02
-    backoff_cap: float = 0.5
-    max_pool_breaks: int = 3
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """``REPRO_RETRIES`` (extra attempts) / ``REPRO_JOB_TIMEOUT``."""
-        kwargs: dict[str, object] = {}
-        retries = os.environ.get("REPRO_RETRIES")
-        if retries:
-            try:
-                kwargs["max_attempts"] = max(1, int(retries) + 1)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_RETRIES must be an integer, got {retries!r}"
-                ) from None
-        timeout = os.environ.get("REPRO_JOB_TIMEOUT")
-        if timeout:
-            try:
-                seconds = float(timeout)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOB_TIMEOUT must be a number, got {timeout!r}"
-                ) from None
-            kwargs["job_timeout"] = seconds if seconds > 0 else None
-        return cls(**kwargs)
+def job_timeout() -> float | None:
+    """Per-job wall-clock limit for pooled attempts, in seconds:
+    ``REPRO_JOB_TIMEOUT`` if set and positive, else ``None`` (off)."""
+    env = os.environ.get("REPRO_JOB_TIMEOUT")
+    if not env:
+        return None
+    try:
+        seconds = float(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_JOB_TIMEOUT must be a number, got {env!r}"
+        ) from None
+    return seconds if seconds > 0 else None
 
 
-def _backoff(policy: RetryPolicy, attempt: int) -> float:
-    return min(policy.backoff_cap,
-               policy.backoff_base * (2 ** max(0, attempt - 1)))
+#: Worker-pool deaths survived by resurrection before the engine
+#: degrades to sequential in-process execution.
+MAX_POOL_BREAKS = 3
 
 
 #: Seconds between a pool worker's checks that its coordinator lives.
@@ -208,15 +165,12 @@ def _run_job(job):
     return job.run()
 
 
-def _invoke(fn, arg, key: str, attempt: int, delay: float):
+def _invoke(fn, arg, key: str, attempt: int):
     """One execution attempt, on whichever process runs it.
 
-    ``delay`` implements retry backoff *inside* the worker, so the
-    parent's scheduling loop never blocks on it.  The active fault
-    injector (env / override, inherited through fork) gets first shot.
+    The active fault injector (env / override, inherited through fork)
+    gets first shot.
     """
-    if delay > 0:
-        time.sleep(delay)
     injector = active_injector()
     if injector is not None:
         injector.on_job_attempt(key, attempt)
@@ -227,7 +181,7 @@ def _invoke(fn, arg, key: str, attempt: int, delay: float):
         return fn(arg)
 
 
-def _pooled_invoke(fn, arg, key: str, attempt: int, delay: float):
+def _pooled_invoke(fn, arg, key: str, attempt: int):
     """:func:`_invoke` in a pool worker, then publish its metrics.
 
     A traced worker's snapshot is cumulative for its pid and the
@@ -235,7 +189,7 @@ def _pooled_invoke(fn, arg, key: str, attempt: int, delay: float):
     attempt loses nothing when the pool is later torn down.
     """
     try:
-        return _invoke(fn, arg, key, attempt, delay)
+        return _invoke(fn, arg, key, attempt)
     finally:
         tracer = obs_trace.TRACER
         if tracer is not None:
@@ -248,7 +202,7 @@ def _pooled_invoke(fn, arg, key: str, attempt: int, delay: float):
 class _Task:
     """One schedulable unit: a SimJob or a map item."""
 
-    __slots__ = ("index", "fn", "arg", "key", "label", "attempts", "seq")
+    __slots__ = ("index", "fn", "arg", "key", "label", "seq")
 
     def __init__(self, index: int, fn, arg, key: str, label: str) -> None:
         self.index = index
@@ -256,8 +210,7 @@ class _Task:
         self.arg = arg
         self.key = key        # fault-roll / fingerprint identity
         self.label = label    # human identity for error messages
-        self.attempts = 0     # executions started in the current regime
-        self.seq = 0          # executions started ever (fault re-roll index)
+        self.seq = 0          # executions started (fault re-roll index)
 
 
 def _annotate(exc: BaseException, task: _Task) -> BaseException:
@@ -280,205 +233,146 @@ def _fail(task: _Task, exc: BaseException, kind: str,
         label=task.label, fingerprint=task.key, kind=kind, error=str(exc)))
 
 
-def _retry_or_fail(task: _Task, exc: BaseException, policy: RetryPolicy,
-                   failures: dict[int, BaseException],
-                   report: CampaignReport, resubmit) -> None:
-    """Retryable failure: resubmit within budget, else record exhaustion."""
-    if task.attempts >= policy.max_attempts:
-        _fail(task, RetryExhaustedError(task.label, task.key,
-                                        task.attempts, exc),
-              "retries-exhausted", failures, report)
-    else:
-        report.retries += 1
-        resubmit(task)
-
-
-def _run_tasks_sequential(tasks, policy: RetryPolicy,
-                          report: CampaignReport, record,
-                          failures: dict[int, BaseException],
-                          fresh_budget: bool = False) -> None:
-    """In-process execution with bounded retries (the jobs=1 path, and
+def _run_tasks_sequential(tasks, report: CampaignReport, record,
+                          failures: dict[int, BaseException]) -> None:
+    """In-process execution, one attempt per task (the jobs=1 path, and
     the graceful-degradation target when pools keep dying)."""
     for task in tasks:
-        if fresh_budget:
-            task.attempts = 0
         with obs_trace.span("job", fp=task.key[:16], label=task.label):
-            _run_one_sequential(task, policy, report, record, failures)
+            task.seq += 1
+            report.attempts += 1
+            try:
+                result = _invoke(task.fn, task.arg, task.key, task.seq)
+            except (KeyboardInterrupt, SystemExit):
+                # An interrupted cell is not a failed cell: let the
+                # interrupt surface (completed cells are already
+                # flushed) so a rerun resumes it instead of reporting
+                # a phantom job failure.
+                raise
+            except BaseException as exc:
+                _fail(task, exc, "exception", failures, report)
+            else:
+                record(task, result)
 
 
-def _run_one_sequential(task, policy: RetryPolicy, report: CampaignReport,
-                        record, failures: dict[int, BaseException]) -> None:
-    """One task's bounded in-process retry loop (the ``job`` span body)."""
-    while True:
-        task.attempts += 1
-        task.seq += 1
-        report.attempts += 1
-        try:
-            result = _invoke(task.fn, task.arg, task.key, task.seq, 0.0)
-        except InjectedFault as exc:
-            if task.attempts >= policy.max_attempts:
-                _fail(task, RetryExhaustedError(task.label, task.key,
-                                                task.attempts, exc),
-                      "retries-exhausted", failures, report)
-                return
-            report.retries += 1
-            time.sleep(_backoff(policy, task.attempts))
-        except (KeyboardInterrupt, SystemExit):
-            # An interrupted cell is not a failed cell: let the
-            # interrupt surface (completed cells are already
-            # flushed) so a rerun resumes it instead of reporting
-            # a phantom job failure.
-            raise
-        except BaseException as exc:
-            _fail(task, exc, "exception", failures, report)
-            return
-        else:
-            record(task, result)
-            return
-
-
-def _run_tasks_pooled(tasks, workers: int, policy: RetryPolicy,
+def _run_tasks_pooled(tasks, workers: int, timeout: float | None,
                       report: CampaignReport, record,
                       failures: dict[int, BaseException]) -> None:
-    """Per-job future submission with timeouts, retries, resurrection.
+    """Per-job futures on a pool that is resurrected after each death.
 
     Completed futures keep their results across a pool death; after
-    ``policy.max_pool_breaks`` deaths the remaining work degrades to
-    sequential in-process execution (fresh retry budget — a pool
-    casualty is evidence about the pool, not the job).
+    :data:`MAX_POOL_BREAKS` deaths the remaining work degrades to
+    sequential in-process execution.  A teardown that reaps an overdue
+    job is not a death: it fails that job, so the queue still shrinks.
     """
     queue: deque[_Task] = deque(tasks)
     breaks = 0
     while queue:
-        if breaks >= policy.max_pool_breaks:
+        if breaks >= MAX_POOL_BREAKS:
             report.degradations += 1
-            _run_tasks_sequential(list(queue), policy, report, record,
-                                  failures, fresh_budget=True)
+            _run_tasks_sequential(queue, report, record, failures)
             return
-        queue, broke = _one_pool_round(queue, workers, policy, report,
-                                       record, failures)
-        if broke:
-            breaks += 1
-            time.sleep(_backoff(policy, breaks))
+        breaks += _one_pool_round(queue, workers, timeout, report, record,
+                                  failures)
 
 
-def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
+def _one_pool_round(queue: deque, workers: int, timeout: float | None,
                     report: CampaignReport, record,
-                    failures: dict[int, BaseException]):
-    """One pool lifetime; returns (requeue, broke).
+                    failures: dict[int, BaseException]) -> bool:
+    """One pool lifetime over ``queue``; returns whether the pool died.
 
-    Runs until the queue drains or the pool must be torn down: a worker
-    death (``BrokenProcessPool`` fails every pending future at once) or
-    a per-job timeout (a running future cannot be cancelled, so the
-    whole pool is abandoned; ``shutdown(wait=False)`` leaves the
-    stragglers to finish dying on their own).
+    The round ends when the queue drains or the pool must be torn down:
+    a worker death (``BrokenProcessPool`` fails every pending future at
+    once) or an overdue attempt (a running future cannot be cancelled,
+    so the whole pool is abandoned; ``shutdown(wait=False)`` leaves the
+    stragglers to finish dying on their own).  Jobs lost with the pool
+    go back to the front of ``queue`` for the next one.
     """
-    requeue: deque[_Task] = deque()
-    pool = _pool(min(workers, len(queue)))
-    pending: dict = {}
-    broke = False
+    size = min(workers, len(queue))
+    pool = _pool(size)
+    # With a timeout, at most one job per worker is in flight, so each
+    # starts as it is submitted and its deadline times the attempt, not
+    # a wait in the pool's queue.  Without one, every job is submitted
+    # at once and the pool's own queue keeps the workers busy.
+    in_flight = size if timeout else len(queue)
+    pending: dict = {}  # future -> (task, deadline or None)
+    lost: list[_Task] = []
+    died = overdue = False
 
     def casualty(task: _Task) -> None:
-        # Lost to the pool, not to its own fault: requeue it with the
-        # attempt refunded (`seq` still advances on resubmission, so
-        # injected faults re-roll).
-        task.attempts -= 1
-        requeue.append(task)
+        # Lost with the pool, not by its own fault: it re-runs on the
+        # next one (`seq` advances, so injected faults re-roll).
+        report.retries += 1
+        lost.append(task)
 
-    def submit(task: _Task, delay: float = 0.0) -> None:
-        nonlocal broke
-        task.attempts += 1
-        task.seq += 1
-        report.attempts += 1
-        deadline = (time.monotonic() + policy.job_timeout
-                    if policy.job_timeout else None)
+    def pool_died() -> None:
+        nonlocal died
+        if not died:  # counted once per pool lifetime
+            died = True
+            report.pool_breaks += 1
+
+    def settle(future, task: _Task) -> None:
         try:
-            future = pool.submit(_pooled_invoke, task.fn, task.arg,
-                                 task.key, task.seq, delay)
+            result = future.result()
         except BrokenProcessPool:
-            # The pool died between completions; the task is innocent.
-            if not broke:
-                broke = True
-                report.pool_breaks += 1
+            pool_died()
             casualty(task)
-            return
-        pending[future] = (task, deadline)
-
-    def resubmit(task: _Task) -> None:
-        if broke:
-            requeue.append(task)
+        except CancelledError:  # pragma: no cover - defensive
+            casualty(task)
+        except (KeyboardInterrupt, SystemExit):
+            raise  # interrupted, not failed — surface it
+        except BaseException as exc:
+            _fail(task, exc, "exception", failures, report)
         else:
-            submit(task, delay=_backoff(policy, task.attempts))
+            record(task, result)
 
     try:
-        for task in queue:
-            submit(task)
-        while pending and not broke:
-            timeout = None
-            if policy.job_timeout:
-                deadlines = [d for (_t, d) in pending.values()
-                             if d is not None]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - time.monotonic())
-            done, _ = wait(list(pending), timeout=timeout,
+        while not (died or overdue):
+            while queue and len(pending) < in_flight and not died:
+                task = queue.popleft()
+                task.seq += 1
+                report.attempts += 1
+                try:
+                    future = pool.submit(_pooled_invoke, task.fn, task.arg,
+                                         task.key, task.seq)
+                except BrokenProcessPool:
+                    # The pool died between completions.
+                    pool_died()
+                    casualty(task)
+                else:
+                    pending[future] = (task, time.monotonic() + timeout
+                                       if timeout else None)
+            if not pending:
+                break
+            wait_for = None
+            if timeout:
+                wait_for = max(0.0, min(d for _t, d in pending.values())
+                               - time.monotonic())
+            done, _ = wait(list(pending), timeout=wait_for,
                            return_when=FIRST_COMPLETED)
             for future in done:
-                task, _deadline = pending.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    # The casualty and every sibling retry on a fresh
-                    # pool; completed futures in `done` keep their
-                    # results below.  Counted once per pool lifetime.
-                    if not broke:
-                        broke = True
-                        report.pool_breaks += 1
-                    casualty(task)
-                except InjectedFault as exc:
-                    _retry_or_fail(task, exc, policy, failures, report,
-                                   resubmit)
-                except CancelledError:  # pragma: no cover - defensive
-                    casualty(task)
-                except (KeyboardInterrupt, SystemExit):
-                    raise  # interrupted, not failed — surface it
-                except BaseException as exc:
-                    _fail(task, exc, "exception", failures, report)
-                else:
-                    record(task, result)
-            if policy.job_timeout and not broke:
+                settle(future, pending.pop(future)[0])
+            if timeout and not died:
                 now = time.monotonic()
-                overdue = [f for f, (_t, d) in pending.items()
-                           if d is not None and d <= now]
-                if overdue:
-                    broke = True  # cannot cancel running futures
-                    for future in overdue:
-                        task, _deadline = pending.pop(future)
-                        report.timeouts += 1
-                        _retry_or_fail(task, TimeoutError(
-                            f"attempt exceeded {policy.job_timeout}s"),
-                            policy, failures, report, resubmit)
+                for future in [f for f, (_t, d) in pending.items()
+                               if d <= now]:
+                    task, _deadline = pending.pop(future)
+                    overdue = True  # cannot cancel running futures
+                    report.timeouts += 1
+                    _fail(task, TimeoutError(
+                        f"attempt exceeded {timeout}s"), "timeout",
+                        failures, report)
         # Drain whatever the teardown left behind: futures that did
-        # finish keep their results; the rest are innocent casualties.
-        for future, (task, _deadline) in list(pending.items()):
+        # finish keep their results; the rest are casualties.
+        for future, (task, _deadline) in pending.items():
             if future.done() and not future.cancelled():
-                try:
-                    record(task, future.result())
-                    continue
-                except InjectedFault as exc:
-                    _retry_or_fail(task, exc, policy, failures, report,
-                                   lambda t: requeue.append(t))
-                    continue
-                except BrokenProcessPool:
-                    pass
-                except (KeyboardInterrupt, SystemExit):
-                    raise  # interrupted, not failed — surface it
-                except BaseException as exc:
-                    _fail(task, exc, "exception", failures, report)
-                    continue
-            casualty(task)
+                settle(future, task)
+            else:
+                casualty(task)
     finally:
-        pool.shutdown(wait=not broke, cancel_futures=True)
-    return requeue, broke
+        pool.shutdown(wait=not (died or overdue), cancel_futures=True)
+    queue.extendleft(reversed(lost))
+    return died
 
 
 def _job_label(job) -> str:
@@ -561,8 +455,7 @@ def _resolve_cached(jobs, memo: bool, disk,
 
 def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
              store=None, report: CampaignReport | None = None,
-             strict: bool = True,
-             policy: RetryPolicy | None = None) -> list:
+             strict: bool = True) -> list:
     """Execute ``jobs`` (SimJobs); results in input order.
 
     Fingerprint-identical jobs execute once, whether the duplicate is in
@@ -581,10 +474,9 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     that had not yet finished.
 
     ``report`` (a :class:`~repro.exec.report.CampaignReport`) collects
-    attempts/retries/timeouts/pool-breaks/degradations/store-errors;
-    ``policy`` overrides the env-resolved :class:`RetryPolicy`.
+    attempts/retries/timeouts/pool-breaks/degradations/store-errors.
 
-    With ``strict=True`` (default) a permanently failed job re-raises
+    With ``strict=True`` (default) a failed job re-raises
     its exception — annotated with fingerprint and workload — *after*
     all other jobs have completed and flushed.  ``strict=False``
     instead records failures in the report and leaves ``None`` in the
@@ -597,7 +489,7 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     obs_trace.refresh()
     jobs = list(jobs)
     workers = workers if workers is not None else default_jobs()
-    policy = policy if policy is not None else RetryPolicy.from_env()
+    timeout = job_timeout()
     report = report if report is not None else CampaignReport()
     disk = None if (store is None and not memo) else resolve_store(store)
     report.jobs += len(jobs)
@@ -654,10 +546,9 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
                 if runnable:
                     _run_tasks_pooled(runnable,
                                       min(workers, len(runnable)),
-                                      policy, report, record, failures)
+                                      timeout, report, record, failures)
             else:
-                _run_tasks_sequential(tasks, policy, report, record,
-                                      failures)
+                _run_tasks_sequential(tasks, report, record, failures)
             if failures and strict:
                 raise failures[min(failures)]
     finally:
@@ -680,19 +571,18 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
 
 
 def parallel_map(fn, items, *, workers: int | None = None,
-                 report: CampaignReport | None = None,
-                 policy: RetryPolicy | None = None) -> list:
+                 report: CampaignReport | None = None) -> list:
     """Ordered ``map(fn, items)``, pooled when workers > 1.
 
     For work that is not a plain SimJob.  ``fn`` must be a module-level
     callable and ``items`` picklable; there is no memo and no store,
-    but the fault-tolerant scheduler (retries, pool resurrection,
-    sequential degradation) is the same one ``run_jobs`` uses — ``fn``
-    must therefore be deterministic.
+    but the fault-tolerant scheduler (per-job timeout, pool
+    resurrection, sequential degradation) is the same one ``run_jobs``
+    uses — ``fn`` must therefore be deterministic.
     """
     items = list(items)
     workers = workers if workers is not None else default_jobs()
-    policy = policy if policy is not None else RetryPolicy.from_env()
+    timeout = job_timeout()
     report = report if report is not None else CampaignReport()
     report.jobs += len(items)
     name = getattr(fn, "__name__", "fn")
@@ -707,10 +597,10 @@ def parallel_map(fn, items, *, workers: int | None = None,
         results[task.index] = result
 
     if workers > 1 and len(items) > 1:
-        _run_tasks_pooled(tasks, min(workers, len(items)), policy,
+        _run_tasks_pooled(tasks, min(workers, len(items)), timeout,
                           report, record, failures)
     else:
-        _run_tasks_sequential(tasks, policy, report, record, failures)
+        _run_tasks_sequential(tasks, report, record, failures)
     if failures:
         raise failures[min(failures)]
     return [results[i] for i in range(len(items))]

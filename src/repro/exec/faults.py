@@ -1,6 +1,6 @@
 """Deterministic fault injection (chaos) for the campaign engine.
 
-The engine's fault-tolerance machinery (per-job retries, pool
+The engine's fault-tolerance machinery (per-job timeouts, pool
 resurrection, sequential degradation, incremental store flush,
 quarantine) is only trustworthy if it is *exercised*, so this module
 injects the failures it must survive — deterministically, from a seed,
@@ -10,8 +10,6 @@ with no wall-clock or RNG state involved:
   stand-in.  Only fires in worker processes; an in-process (sequential
   or degraded) execution has no worker to kill, so the roll is ignored
   there and campaigns always terminate.
-* **job exception** — a retryable :class:`InjectedFault` raised at the
-  start of a job attempt, wherever it runs.
 * **slowness** — ``time.sleep(slow_seconds)`` before the job body, the
   slow-cell stand-in that the per-job timeout machinery reaps.
 * **store truncation / corruption** — a record's serialised bytes are
@@ -22,9 +20,9 @@ with no wall-clock or RNG state involved:
 Every decision is a pure function of ``(seed, kind, key, ordinal)``
 via sha256 — no RNG object, no ordering sensitivity: the same plan over
 the same campaign injects the same faults in any process.  Job faults
-key on ``(fingerprint, attempt)``, so a retried attempt re-rolls and a
-bounded-retry loop converges; store faults key on the record name and a
-per-process write ordinal, so a re-written (healed) record re-rolls too.
+key on ``(fingerprint, attempt)``, so a job re-run after its pool died
+re-rolls; store faults key on the record name and a per-process write
+ordinal, so a re-written (healed) record re-rolls too.
 
 Activation, in precedence order:
 
@@ -35,9 +33,11 @@ Activation, in precedence order:
    ``knob=value`` pairs matching :class:`FaultPlan` fields, e.g.
    ``REPRO_FAULTS="seed=7,worker_death=0.1,store_truncate=0.05"``.
 
-The contract the chaos tests pin: any injected fault that is
-eventually retried to success must leave campaign results
-byte-identical to a fault-free run.
+The contract the chaos tests pin: every injected fault the engine
+recovers from (a worker death, a slow cell with no timeout, a torn or
+garbled record) leaves campaign results byte-identical to a fault-free
+run, and a cell a timeout reaps fails alone while its siblings stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -49,15 +49,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 
-class InjectedFault(RuntimeError):
-    """A deterministically injected, *retryable* job failure."""
-
-
 #: Fault kinds an injector counts (parent-side observability; worker
 #: deaths increment inside the worker that dies, so count them from the
 #: parent via :meth:`FaultPlan.would_fail` instead).
-FAULT_KINDS = ("worker_death", "job_exception", "slow",
-               "store_truncate", "store_corrupt")
+FAULT_KINDS = ("worker_death", "slow", "store_truncate", "store_corrupt")
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class FaultPlan:
 
     seed: int = 0
     worker_death: float = 0.0
-    job_exception: float = 0.0
     slow: float = 0.0
     slow_seconds: float = 0.02
     store_truncate: float = 0.0
@@ -136,8 +130,8 @@ class FaultInjector:
     def on_job_attempt(self, key: str, attempt: int) -> None:
         """Inject job-level faults at the start of one attempt.
 
-        May sleep (slowness), kill the current process (worker death —
-        pool workers only), or raise :class:`InjectedFault` (retryable).
+        May sleep (slowness) or kill the current process (worker death
+        — pool workers only).
         """
         plan = self.plan
         if plan.roll("slow", key, attempt):
@@ -147,10 +141,6 @@ class FaultInjector:
                 and plan.roll("worker_death", key, attempt)):
             self.counts["worker_death"] += 1
             os._exit(73)
-        if plan.roll("job_exception", key, attempt):
-            self.counts["job_exception"] += 1
-            raise InjectedFault(
-                f"injected job_exception on {key[:16]} (attempt {attempt})")
 
     def mangle_record(self, data: str, path: str) -> str | None:
         """Damaged record text to write instead, or ``None`` for clean.

@@ -1,6 +1,6 @@
 """Campaign observability: what the engine survived, not just returned.
 
-A fault-tolerant scheduler that hides every retry, timeout, pool
+A fault-tolerant scheduler that hides every re-run, timeout, pool
 resurrection, and quarantined record is indistinguishable from a flaky
 one.  :class:`CampaignReport` is the ledger the engine fills while it
 works; ``run_suite``/figures/sweeps thread it through, and the CLI
@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 @dataclass
 class JobFailure:
-    """One permanently failed job (after retries, if it had any)."""
+    """One failed job: a deterministic job that failed once fails again."""
 
     label: str          # "model on workload" (or the parallel_map item)
     fingerprint: str
-    kind: str           # "exception" | "retries-exhausted" | "trace"
+    kind: str           # "exception" | "timeout" | "trace"
     error: str
 
     def __str__(self) -> str:
@@ -37,8 +37,8 @@ class CampaignReport:
     memo_hits: int = 0      #: served from the RAM memo
     store_hits: int = 0     #: fresh fingerprints loaded from the disk store
     computed: int = 0       #: simulations that actually ran to completion
-    attempts: int = 0       #: executions started (retries re-count)
-    retries: int = 0        #: re-submissions after a retryable failure
+    attempts: int = 0       #: executions submitted (re-runs re-count)
+    retries: int = 0        #: re-submissions of jobs lost with their pool
     timeouts: int = 0       #: attempts reaped by the per-job timeout
     pool_breaks: int = 0    #: BrokenProcessPool events survived
     degradations: int = 0   #: falls back to sequential in-process execution
@@ -54,14 +54,6 @@ class CampaignReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "CampaignReport") -> "CampaignReport":
-        for name in ("jobs", "memo_hits", "store_hits", "computed",
-                     "attempts", "retries", "timeouts", "pool_breaks",
-                     "degradations", "store_errors"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.failures.extend(other.failures)
-        return self
-
     def tallies(self) -> dict:
         """The numeric counters only (what mirrors into the metrics
         registry as ``campaign.<name>`` — failures stay structured)."""
@@ -69,11 +61,6 @@ class CampaignReport:
         out.pop("failures")
         out["failed_jobs"] = len(self.failures)
         return out
-
-    def to_metrics(self, registry, prefix: str = "campaign") -> None:
-        """Mirror these tallies into a
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        registry.count_into(prefix, self.tallies())
 
     def as_dict(self) -> dict:
         return {

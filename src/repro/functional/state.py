@@ -50,17 +50,3 @@ class ArchState:
     def copy(self) -> "ArchState":
         return ArchState(regs=list(self.regs), memory=dict(self.memory))
 
-    def diff(self, other: "ArchState") -> list[str]:
-        """Human-readable mismatches (for test failure messages)."""
-        from ..isa.registers import reg_name
-
-        lines = []
-        for i in range(NUM_REGS):
-            if self.regs[i] != other.regs[i]:
-                lines.append(f"{reg_name(i)}: {self.regs[i]!r} != {other.regs[i]!r}")
-        keys = sorted(self.memory.keys() | other.memory.keys())
-        for k in keys:
-            a, b = self.memory.get(k, 0), other.memory.get(k, 0)
-            if a != b:
-                lines.append(f"mem[{k:#x}]: {a!r} != {b!r}")
-        return lines

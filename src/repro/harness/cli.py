@@ -28,13 +28,15 @@ figure in a fresh process simulates only cells it has never seen.
 inspects and maintains the store (``repro cache quarantine`` lists the
 corrupt records the store has isolated).
 
-Campaigns are also fault-tolerant: jobs retry after worker deaths and
-injected failures (``--retries``), slow cells can be reaped by a
-per-job timeout (``--timeout``), and ``--faults`` turns on the
+Campaigns are also fault-tolerant: jobs lost with a dead worker re-run
+on a fresh pool, a failed job fails alone (its siblings finish and
+flush, so rerunning the command recomputes only it), a per-job timeout
+(``--timeout``) fails a slow cell, and ``--faults`` turns on the
 deterministic chaos harness (e.g. ``--faults seed=7,worker_death=0.1``)
-to prove it.  Any incident — a retry, a pool resurrection, a quarantined
-record, a permanently failed job — is summarised on stderr after the
-campaign.
+to prove it.  Any incident — a re-run, a pool resurrection, a
+quarantined record, a failed job — is summarised on stderr after the
+campaign.  The ``REPRO_*`` variables these options set last only as
+long as the command: :func:`main` restores them on return.
 
 Workload references (``-w``) accept, in any mix: named-suite kernels
 (``mcf_like``), generated-suite spec files written by ``repro wgen
@@ -51,6 +53,7 @@ import os
 import signal
 import sys
 
+from ..obs import trace as obs_trace
 from ..workloads import ALL_KERNELS
 from .experiment import (
     MODELS,
@@ -75,9 +78,10 @@ from .tables import format_area_table, format_table2, table2
 
 
 def _add_workload_args(parser: argparse.ArgumentParser,
-                       machine: bool = True) -> None:
-    parser.add_argument("-n", "--instructions", type=int, default=None,
-                        help="dynamic instructions per kernel")
+                       machine: bool = True, budget: bool = True) -> None:
+    if budget:
+        parser.add_argument("-n", "--instructions", type=int, default=None,
+                            help="dynamic instructions per kernel")
     parser.add_argument("-w", "--workloads", type=str, default=None,
                         help="comma-separated workload references: kernel "
                              "names, @specfile.json, gen:N[:SEED]")
@@ -96,11 +100,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="use the on-disk result store under "
                              "REPRO_CACHE_DIR (default: REPRO_STORE, on)")
-    parser.add_argument("--retries", type=int, default=None,
-                        help="extra attempts per job after a retryable "
-                             "failure (default: REPRO_RETRIES, 3)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-job wall-clock timeout in pooled runs "
+                        help="per-job wall-clock timeout in pooled runs; "
+                             "an overdue job fails "
                              "(default: REPRO_JOB_TIMEOUT, off)")
     parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
                         help="chaos harness: inject deterministic faults, "
@@ -118,16 +120,14 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
 
 def _apply_jobs(args) -> None:
     # Threads the worker count, store toggle, and fault-tolerance knobs
-    # through every campaign this process runs — the engine reads
-    # REPRO_JOBS / REPRO_STORE / REPRO_RETRIES / REPRO_JOB_TIMEOUT /
-    # REPRO_FAULTS wherever the corresponding argument isn't passed
-    # explicitly.
+    # through every campaign this command runs — the engine reads
+    # REPRO_JOBS / REPRO_STORE / REPRO_JOB_TIMEOUT / REPRO_FAULTS
+    # wherever the corresponding argument isn't passed explicitly.
+    # main() restores them when the command returns.
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     if getattr(args, "store", None) is not None:
         os.environ["REPRO_STORE"] = "1" if args.store else "0"
-    if getattr(args, "retries", None) is not None:
-        os.environ["REPRO_RETRIES"] = str(max(0, args.retries))
     if getattr(args, "timeout", None) is not None:
         os.environ["REPRO_JOB_TIMEOUT"] = str(args.timeout)
     if getattr(args, "faults", None) is not None:
@@ -350,7 +350,6 @@ def cmd_cache(args) -> None:
 
 def cmd_obs(args) -> None:
     from ..obs import export as obs_export
-    from ..obs import trace as obs_trace
 
     obs_dir = args.obs_dir or obs_trace.default_obs_dir()
     records = obs_export.merge_logs(obs_dir)
@@ -585,20 +584,26 @@ def build_parser() -> argparse.ArgumentParser:
                         "bypasses the result store for this run)")
     p.set_defaults(fn=cmd_run)
 
-    # Functional only: no machine or campaign knob reaches wgen.
+    # Functional only: no machine or campaign knob reaches wgen, and
+    # each action accepts just the options it reads.
     p = sub.add_parser("wgen", help="generate / characterize workloads")
-    _add_workload_args(p, machine=False)
-    p.add_argument("action", choices=("generate", "characterize", "list"))
-    p.add_argument("-N", "--count", type=int, default=8,
-                   help="generate: number of workloads (default 8)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="generate: generator seed (default 0)")
-    p.add_argument("--max-phases", type=int, default=3,
-                   help="generate: phases per workload ceiling (default 3)")
-    p.add_argument("-o", "--output", type=str, default=None,
-                   help="generate: write the spec file here "
-                        "(default: stdout)")
     p.set_defaults(fn=cmd_wgen)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("generate", help="sample a seeded suite")
+    a.add_argument("-N", "--count", type=int, default=8,
+                   help="number of workloads (default 8)")
+    a.add_argument("--seed", type=int, default=0,
+                   help="generator seed (default 0)")
+    a.add_argument("--max-phases", type=int, default=3,
+                   help="phases per workload ceiling (default 3)")
+    a.add_argument("-o", "--output", type=str, default=None,
+                   help="write the spec file here (default: stdout)")
+    a = actions.add_parser("characterize",
+                           help="functional proxies per workload and phase")
+    _add_workload_args(a, machine=False)
+    a = actions.add_parser("list", help="the archetype catalogue, or the "
+                                        "workloads -w names")
+    _add_workload_args(a, machine=False, budget=False)
 
     p = sub.add_parser("cache", help="inspect / maintain the disk store")
     p.add_argument("action",
@@ -629,8 +634,19 @@ def _sigterm_to_interrupt(_signum, _frame) -> None:
     raise KeyboardInterrupt
 
 
+def _restore_repro_env(saved: dict) -> None:
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        if name not in saved:
+            del os.environ[name]
+    os.environ.update(saved)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Options reach the engine as REPRO_* variables; an in-process
+    # caller gets its environment (and tracer state) back unchanged.
+    saved_env = {name: value for name, value in os.environ.items()
+                 if name.startswith("REPRO_")}
     try:
         # SIGTERM drains like ^C: completed cells are already flushed
         # incrementally, so all an interrupt should cost is the cells
@@ -654,6 +670,8 @@ def main(argv=None) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+        _restore_repro_env(saved_env)
+        obs_trace.refresh()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,13 +17,12 @@ def hermetic_result_store(tmp_path, monkeypatch):
     start from an empty RAM memo.
 
     Fault-tolerance knobs are likewise neutralised: a developer running
-    the suite under ``REPRO_FAULTS`` (or retry/timeout overrides) must
-    not change test outcomes — chaos is opt-in per test.
+    the suite under ``REPRO_FAULTS`` (or a timeout override) must not
+    change test outcomes — chaos is opt-in per test.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
     # Telemetry is observation-only, but a developer's REPRO_TRACE must
     # not scatter obs logs through test stores (or flip report output).

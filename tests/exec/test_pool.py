@@ -4,7 +4,8 @@ What a pooled campaign must keep: byte-identical results whatever the
 tier a cell came from (memo, disk store, pool worker), no pool at all
 for work that cannot use one, workers that run their jobs sequentially
 and exit with their coordinator, dead workers that cost only their
-in-flight work, and timed-out attempts that stay charged.
+in-flight work (which re-runs, counted as retries), and timed-out
+attempts that fail their own job and nothing else.
 """
 
 import json
@@ -22,8 +23,6 @@ from repro.exec import (
     FaultPlan,
     RESULT_CACHE,
     ResultStore,
-    RetryExhaustedError,
-    RetryPolicy,
     SimJob,
     injected_faults,
     parallel_map,
@@ -89,6 +88,12 @@ def _nap(seconds):
 
 def _registry_counters(_item):
     return obs_metrics.REGISTRY.snapshot()["counters"]
+
+
+def _balanced(report):
+    """Every attempt completed, failed for good, or was lost and re-ran."""
+    ran = sum(f.kind in ("exception", "timeout") for f in report.failures)
+    return report.attempts == report.computed + report.retries + ran
 
 
 @pytest.fixture
@@ -205,13 +210,12 @@ def test_traced_pool_workers_start_from_an_empty_registry(
 
 @pytest.mark.parametrize("faults", [None, FaultPlan(worker_death=1.0)],
                          ids=["clean", "every-worker-dies"])
-def test_pool_leaves_no_live_workers(faults):
+def test_pool_leaves_no_live_workers(monkeypatch, faults):
     before = set(multiprocessing.active_children())
     jobs = _jobs()
-    policy = RetryPolicy(max_pool_breaks=2, backoff_base=0.0)
+    monkeypatch.setattr(engine, "MAX_POOL_BREAKS", 2)
     with injected_faults(faults):
-        results = run_jobs(jobs, workers=2, memo=False, store=False,
-                           policy=policy)
+        results = run_jobs(jobs, workers=2, memo=False, store=False)
     assert _payloads(results) == _payloads(_clean(jobs))
     deadline = time.monotonic() + 10.0
     while (set(multiprocessing.active_children()) - before
@@ -276,14 +280,15 @@ def test_pool_dedupes_within_a_batch_and_memoizes_across_calls():
 def test_sigkilled_worker_is_a_casualty_not_a_failure(tmp_path):
     marker = str(tmp_path / "killed-once")
     report = CampaignReport()
-    policy = RetryPolicy(backoff_base=0.0)
     results = parallel_map(_die_once, [(marker, i) for i in range(4)],
-                           workers=2, report=report, policy=policy)
+                           workers=2, report=report)
     assert results == [0, 10, 20, 30]
     assert os.path.exists(marker)  # the kill really happened
-    assert report.pool_breaks == 1
-    assert report.retries == 0 and report.degradations == 0
-    assert report.ok()
+    assert report.pool_breaks == 1 and report.degradations == 0
+    # The killed item, and any sibling lost with it, re-ran on a fresh
+    # pool: each re-run is a retry, none is a failure.
+    assert report.retries >= 1
+    assert report.ok() and _balanced(report)
 
 
 def test_pool_exception_is_not_retried_and_names_its_item():
@@ -296,47 +301,54 @@ def test_pool_exception_is_not_retried_and_names_its_item():
     assert report.computed == 5  # every sibling still finished
     assert [(f.label, f.kind) for f in report.failures] \
         == [("_fail_on_three[3]", "exception")]
+    assert _balanced(report)
 
 
-def test_timed_out_attempts_stay_charged():
-    # Item 0 overruns every attempt.  A charged timeout exhausts its two
-    # attempts; a refunded one would loop until the pool breaks ran out
-    # and the degraded, timeout-free sequential run finished it.
+def test_timed_out_attempts_stay_charged(monkeypatch):
+    # Item 0 overruns its deadline.  The timeout fails it for good (a
+    # re-run would overrun again) and takes down only its pool: the
+    # quick sibling had already finished and keeps its result.
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.5")
     report = CampaignReport()
-    policy = RetryPolicy(max_attempts=2, job_timeout=0.5,
-                         backoff_base=0.0, max_pool_breaks=5)
-    with pytest.raises(RetryExhaustedError) as excinfo:
-        parallel_map(_nap, [2.0, 0.0], workers=2, report=report,
-                     policy=policy)
-    assert excinfo.value.label == "_nap[0]"
-    assert excinfo.value.attempts == 2
-    assert report.timeouts >= 2
+    with pytest.raises(TimeoutError, match="exceeded 0.5s") as excinfo:
+        parallel_map(_nap, [2.0, 0.0], workers=2, report=report)
+    assert any("_nap[0]" in note for note in excinfo.value.__notes__)
+    assert [(f.label, f.kind) for f in report.failures] \
+        == [("_nap[0]", "timeout")]
+    assert report.timeouts == 1 and report.attempts == 2
+    assert report.computed == 1 and report.retries == 0
     assert report.degradations == 0
 
 
-def _retried_plan(keys, attempts):
-    """A seed that fails some first attempts but never all ``attempts``
-    of one key (searched, like the chaos tests' plans)."""
-    for seed in range(1000):
-        plan = FaultPlan(seed=seed, job_exception=0.4)
-        if (any(plan.would_fail("job_exception", key) for key in keys)
-                and not any(all(plan.would_fail("job_exception", key, n)
-                                for n in range(1, attempts + 1))
-                            for key in keys)):
-            return plan
-    raise AssertionError("no qualifying seed in range — widen the search")
-
-
-def test_parallel_map_retries_injected_faults_in_the_pool():
-    items = list(range(8))
-    plan = _retried_plan([f"_square:{i}" for i in items],
-                         RetryPolicy().max_attempts)
+def test_queued_jobs_do_not_time_out_waiting_for_a_worker(monkeypatch):
+    # Eight 0.2 s items on two workers take 0.8 s in all, longer than
+    # the 0.5 s timeout; each item alone is well inside it.
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.5")
     report = CampaignReport()
-    with injected_faults(plan):
-        results = parallel_map(_square, items, workers=2, report=report)
-    assert results == [x * x for x in items]
-    assert report.retries >= 1
+    assert parallel_map(_nap, [0.2] * 8, workers=2, report=report) \
+        == [0.2] * 8
+    assert report.timeouts == 0 and report.retries == 0
     assert report.ok()
+
+
+def test_timeouts_do_not_degrade_the_pool(monkeypatch):
+    # More overdue items than MAX_POOL_BREAKS.  Each timeout teardown
+    # fails its overdue item and is no pool death, so the pool is never
+    # traded for the timeout-free sequential path.  The quick items,
+    # last in line, start only when a worker is free: their deadlines
+    # time their own runs, not a wait behind the slow ones.
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.3")
+    slow = engine.MAX_POOL_BREAKS + 1
+    report = CampaignReport()
+    with pytest.raises(TimeoutError):
+        parallel_map(_nap, [1.5] * slow + [0.0, 0.0], workers=2,
+                     report=report)
+    assert report.degradations == 0 and report.pool_breaks == 0
+    assert sorted((f.label, f.kind) for f in report.failures) \
+        == [(f"_nap[{i}]", "timeout") for i in range(slow)]
+    assert report.timeouts == slow
+    assert report.computed == 2
+    assert _balanced(report)
 
 
 # ----------------------------------------------------------------------

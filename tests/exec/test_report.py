@@ -1,14 +1,13 @@
 """CampaignReport: every event the engine absorbs is counted and shown.
 
-A pool casualty, a retry or a quarantined record that never reaches
-``incidents()``, ``summary()`` or the merged report is a silent one;
-these tests pin each counter through every view of the report.
+A pool casualty, a re-run or a quarantined record that never reaches
+``incidents()``, ``summary()`` or the tallies is a silent one; these
+tests pin each counter through every view of the report.
 """
 
 import pytest
 
 from repro.exec import CampaignReport, JobFailure
-from repro.obs.metrics import MetricsRegistry
 
 #: (field, the words ``summary()`` prints for it)
 INCIDENT_COUNTERS = [("retries", "retries"), ("timeouts", "timeouts"),
@@ -22,7 +21,7 @@ COUNTERS = ["jobs", "memo_hits", "store_hits", "computed", "attempts",
 
 def _failure(label="icfp on mcf_like"):
     return JobFailure(label=label, fingerprint="ab" * 32,
-                      kind="retries-exhausted", error="boom")
+                      kind="timeout", error="boom")
 
 
 def test_fresh_report_is_boring_and_ok():
@@ -52,17 +51,6 @@ def test_failures_are_incidents_and_fail_the_report():
     assert report.as_dict()["failures"] == [str(_failure())]
 
 
-def test_merge_adds_every_counter_and_keeps_failures():
-    left = CampaignReport(**{name: i + 1 for i, name in enumerate(COUNTERS)},
-                          failures=[_failure("a")])
-    right = CampaignReport(**{name: 10 for name in COUNTERS},
-                           failures=[_failure("b")])
-    assert left.merge(right) is left
-    for i, name in enumerate(COUNTERS):
-        assert getattr(left, name) == i + 11, name
-    assert [f.label for f in left.failures] == ["a", "b"]
-
-
 def test_tallies_are_the_numeric_view_of_as_dict():
     report = CampaignReport(**{name: 1 for name in COUNTERS},
                             failures=[_failure()])
@@ -72,15 +60,6 @@ def test_tallies_are_the_numeric_view_of_as_dict():
     assert all(isinstance(value, int) for value in tallies.values())
 
 
-def test_to_metrics_mirrors_only_nonzero_tallies():
-    registry = MetricsRegistry()
-    CampaignReport(jobs=4, computed=3, pool_breaks=1,
-                   failures=[_failure()]).to_metrics(registry)
-    assert registry.snapshot()["counters"] == {
-        "campaign.jobs": 4, "campaign.computed": 3,
-        "campaign.pool_breaks": 1, "campaign.failed_jobs": 1}
-
-
 def test_job_failure_names_label_fingerprint_and_kind():
     assert str(_failure()) == ("icfp on mcf_like [abababababab] "
-                               "retries-exhausted: boom")
+                               "timeout: boom")

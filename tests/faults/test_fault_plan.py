@@ -17,7 +17,7 @@ def test_parse_basic_spec():
     assert plan.seed == 7
     assert plan.worker_death == 0.1
     assert plan.store_truncate == 0.05
-    assert plan.job_exception == 0.0
+    assert plan.slow == 0.0
     assert plan.any_faults()
 
 
@@ -49,29 +49,29 @@ def test_to_env_round_trips():
 
 
 def test_roll_is_deterministic_and_rate_bounded():
-    plan = FaultPlan(seed=42, job_exception=0.3)
-    verdicts = [plan.roll("job_exception", f"key{i}", 1) for i in range(400)]
-    assert verdicts == [plan.roll("job_exception", f"key{i}", 1)
+    plan = FaultPlan(seed=42, slow=0.3)
+    verdicts = [plan.roll("slow", f"key{i}", 1) for i in range(400)]
+    assert verdicts == [plan.roll("slow", f"key{i}", 1)
                         for i in range(400)]
     rate = sum(verdicts) / len(verdicts)
     assert 0.15 < rate < 0.45  # Bernoulli(0.3) over 400 independent keys
     # edge rates need no hashing at all
-    assert not FaultPlan(job_exception=0.0).roll("job_exception", "k", 1)
-    assert FaultPlan(job_exception=1.0).roll("job_exception", "k", 1)
+    assert not FaultPlan(slow=0.0).roll("slow", "k", 1)
+    assert FaultPlan(slow=1.0).roll("slow", "k", 1)
 
 
 def test_roll_varies_with_seed_kind_and_ordinal():
-    base = FaultPlan(seed=0, job_exception=0.5, slow=0.5)
+    base = FaultPlan(seed=0, worker_death=0.5, slow=0.5)
     keys = [f"key{i}" for i in range(64)]
 
     def pattern(plan, kind, ordinal):
         return tuple(plan.roll(kind, k, ordinal) for k in keys)
 
-    assert pattern(base, "job_exception", 1) != pattern(
-        FaultPlan(seed=1, job_exception=0.5), "job_exception", 1)
-    assert pattern(base, "job_exception", 1) != pattern(base, "slow", 1)
-    assert pattern(base, "job_exception", 1) != pattern(
-        base, "job_exception", 2)
+    assert pattern(base, "worker_death", 1) != pattern(
+        FaultPlan(seed=1, worker_death=0.5), "worker_death", 1)
+    assert pattern(base, "worker_death", 1) != pattern(base, "slow", 1)
+    assert pattern(base, "worker_death", 1) != pattern(
+        base, "worker_death", 2)
 
 
 def test_would_fail_matches_roll():
@@ -89,10 +89,10 @@ def test_injector_counts_cover_all_kinds():
 def test_env_activation(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     assert active_injector() is None
-    monkeypatch.setenv("REPRO_FAULTS", "seed=3,job_exception=0.2")
+    monkeypatch.setenv("REPRO_FAULTS", "seed=3,store_corrupt=0.2")
     injector = active_injector()
     assert injector is not None
-    assert injector.plan == FaultPlan(seed=3, job_exception=0.2)
+    assert injector.plan == FaultPlan(seed=3, store_corrupt=0.2)
     # same value -> same cached injector (counters survive)
     assert active_injector() is injector
     monkeypatch.setenv("REPRO_FAULTS", "seed=4")
@@ -110,7 +110,7 @@ def test_env_bad_spec_raises(monkeypatch):
 
 def test_override_beats_env_and_restores(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "seed=1,slow=0.1")
-    plan = FaultPlan(seed=2, job_exception=0.9)
+    plan = FaultPlan(seed=2, worker_death=0.9)
     with injected_faults(plan) as injector:
         assert active_injector() is injector
         assert injector.plan is plan

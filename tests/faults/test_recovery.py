@@ -1,8 +1,11 @@
 """The engine's failure matrix: every fault the scheduler must absorb.
 
-The contract under test (the chaos harness's whole point): any injected
-fault that is eventually retried to success leaves campaign results
-byte-identical to a fault-free run.
+The contract under test (the chaos harness's whole point): every
+injected fault the engine recovers from leaves campaign results
+byte-identical to a fault-free run; a job that fails (its own
+exception, or an overrun of the per-job timeout) fails once and alone;
+and the ledger balances — every attempt completed, failed, or was lost
+with its pool and re-ran.
 """
 
 import json
@@ -15,12 +18,11 @@ from repro.exec import (
     FaultPlan,
     RESULT_CACHE,
     ResultStore,
-    RetryExhaustedError,
-    RetryPolicy,
     SimJob,
     injected_faults,
     run_jobs,
 )
+from repro.exec import engine
 from repro.exec.faults import FAULT_KINDS
 from repro.exec.store import result_to_payload
 from repro.harness.experiment import ExperimentConfig
@@ -43,48 +45,26 @@ def _clean(jobs):
     return run_jobs(jobs, workers=1, memo=False, store=False)
 
 
-def test_injected_exception_retries_to_identical_results():
-    jobs = _jobs()
-    clean = _clean(jobs)
-    report = CampaignReport()
-    with injected_faults(FaultPlan(seed=1, job_exception=0.3)) as injector:
-        faulty = run_jobs(jobs, workers=1, memo=False, store=False,
-                          report=report)
-    assert injector.counts["job_exception"] >= 1
-    assert report.retries == injector.counts["job_exception"]
-    assert report.attempts == len(jobs) + report.retries
-    assert _payloads(faulty) == _payloads(clean)
-    assert report.ok() and report.incidents() == report.retries
-
-
-def test_retry_exhaustion_names_the_job():
-    jobs = _jobs()[:1]
-    fingerprint = jobs[0].fingerprint
-    with injected_faults(FaultPlan(job_exception=1.0)):
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            run_jobs(jobs, workers=1, memo=False, store=False,
-                     policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
-    message = str(excinfo.value)
-    assert "in-order on mesa_like" in message
-    assert fingerprint[:16] in message
-    assert "failed 3 attempts" in message
-    assert isinstance(excinfo.value.__cause__, Exception)
+def _balanced(report):
+    """Every attempt completed, failed for good, or was lost and re-ran."""
+    ran = sum(f.kind in ("exception", "timeout") for f in report.failures)
+    return report.attempts == report.computed + report.retries + ran
 
 
 def test_strict_false_records_failures_and_keeps_going():
-    jobs = _jobs()
+    cfg = ExperimentConfig(instructions=300)
+    jobs = [SimJob(m, w, cfg)
+            for w in ("mesa_like", "doom_like") for m in ("in-order", "icfp")]
     report = CampaignReport()
-    # only this one fingerprint always faults: rate 1.0 keyed per-job is
-    # not expressible, so fault everything and retry-exhaust the lot
-    with injected_faults(FaultPlan(job_exception=1.0)):
-        results = run_jobs(jobs, workers=1, memo=False, store=False,
-                           report=report, strict=False,
-                           policy=RetryPolicy(max_attempts=2,
-                                              backoff_base=0.0))
-    assert results == [None] * len(jobs)
-    assert len(report.failures) == len(jobs)
-    assert all(f.kind == "retries-exhausted" for f in report.failures)
-    assert not report.ok()
+    results = run_jobs(jobs, workers=1, memo=False, store=False,
+                       report=report, strict=False)
+    assert _payloads(results[:2]) == _payloads(_clean(jobs[:2]))
+    assert results[2:] == [None, None]
+    assert [(f.label, f.kind) for f in report.failures] \
+        == [("in-order on doom_like", "exception"),
+            ("icfp on doom_like", "exception")]
+    assert report.attempts == len(jobs) and report.retries == 0
+    assert not report.ok() and _balanced(report)
 
 
 def test_genuine_exception_is_not_retried_and_carries_identity():
@@ -128,69 +108,88 @@ def test_pool_death_recovery_is_byte_identical():
 
 
 @pytest.mark.slow
-def test_total_pool_loss_degrades_to_sequential():
+def test_total_pool_loss_degrades_to_sequential(monkeypatch):
     jobs = _jobs()
     clean = _clean(jobs)
     report = CampaignReport()
-    policy = RetryPolicy(max_pool_breaks=2, backoff_base=0.0)
+    monkeypatch.setattr(engine, "MAX_POOL_BREAKS", 2)
     with injected_faults(FaultPlan(worker_death=1.0)):
         results = run_jobs(jobs, workers=2, memo=False, store=False,
-                           report=report, policy=policy)
+                           report=report)
     assert report.pool_breaks == 2
     assert report.degradations == 1
     # in-process execution has no worker to kill: the campaign finishes
     assert _payloads(results) == _payloads(clean)
+    assert report.retries >= 2 and _balanced(report)
+
+
+def _one_slow_cell_plan(jobs):
+    """A seed where exactly one job is slow at its first attempt and
+    every other job is fast at attempts 1-2 (a sibling lost with the
+    pool that reaps the slow one re-runs at attempt 2).
+
+    Searched deterministically, like :func:`_acceptance_plan`.
+    """
+    for seed in range(10_000):
+        plan = FaultPlan(seed=seed, slow=0.1, slow_seconds=2.0)
+        slow = [j for j in jobs if plan.would_fail("slow", j.fingerprint)]
+        if len(slow) == 1 and not any(
+                plan.would_fail("slow", j.fingerprint, attempt)
+                for j in jobs if j is not slow[0] for attempt in (1, 2)):
+            return plan, slow[0]
+    raise AssertionError("no qualifying seed in range — widen the search")
 
 
 @pytest.mark.slow
-def test_timeout_reaps_slow_jobs_then_retries_to_success():
+def test_timed_out_cell_fails_alone_and_siblings_stay_byte_identical(
+        monkeypatch):
     jobs = _jobs()
     clean = _clean(jobs)
+    plan, slow = _one_slow_cell_plan(jobs)
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.5")
     report = CampaignReport()
-    policy = RetryPolicy(job_timeout=0.25, max_attempts=6, backoff_base=0.0)
-    with injected_faults(FaultPlan(seed=11, slow=0.4, slow_seconds=1.0)):
+    with injected_faults(plan):
         results = run_jobs(jobs, workers=2, memo=False, store=False,
-                           report=report, policy=policy)
-    assert report.timeouts >= 1
-    assert _payloads(results) == _payloads(clean)
-    assert report.ok()
+                           report=report, strict=False)
+    assert [(f.fingerprint, f.kind) for f in report.failures] \
+        == [(slow.fingerprint, "timeout")]
+    assert report.timeouts == 1 and report.degradations == 0
+    assert [None if r is None else _payloads([r])[0] for r in results] \
+        == [None if job is slow else payload
+            for job, payload in zip(jobs, _payloads(clean))]
+    assert _balanced(report)
 
 
 def _casualty_plan(job_a, job_b):
-    """A seed where A's attempt 1 kills its worker, attempt 2 raises and
-    attempt 3 is clean, while B is clean at attempts 1-3.
+    """A seed where A's attempt 1 kills its worker and attempt 2 is
+    clean, while B is clean at attempts 1-2.
 
     Searched deterministically, like :func:`_acceptance_plan`.
     """
     for seed in range(50_000):
-        plan = FaultPlan(seed=seed, worker_death=0.5, job_exception=0.5)
+        plan = FaultPlan(seed=seed, worker_death=0.5)
         a, b = job_a.fingerprint, job_b.fingerprint
         if (plan.would_fail("worker_death", a, 1)
                 and not plan.would_fail("worker_death", a, 2)
-                and plan.would_fail("job_exception", a, 2)
-                and not any(plan.would_fail(kind, a, 3)
-                            for kind in ("worker_death", "job_exception"))
-                and not any(plan.would_fail(kind, b, attempt)
-                            for kind in ("worker_death", "job_exception")
-                            for attempt in (1, 2, 3))):
+                and not any(plan.would_fail("worker_death", b, attempt)
+                            for attempt in (1, 2))):
             return plan
     raise AssertionError("no qualifying seed in range — widen the search")
 
 
-def test_pool_casualty_costs_no_retry_attempt():
+def test_pool_casualty_reruns_for_free_and_counts_as_a_retry():
     cfg = ExperimentConfig(instructions=300)
     jobs = [SimJob("in-order", w, cfg) for w in ("mesa_like", "gzip_like")]
     clean = _clean(jobs)
     report = CampaignReport()
-    # Two attempts allowed: A's own failure (attempt 2) is its first,
-    # because losing its worker at attempt 1 was the pool's fault.
-    policy = RetryPolicy(max_attempts=2, max_pool_breaks=5,
-                         backoff_base=0.0)
     with injected_faults(_casualty_plan(*jobs)):
         results = run_jobs(jobs, workers=2, memo=False, store=False,
-                           report=report, policy=policy)
+                           report=report)
+    # A lost its worker, so A (and B, unless it had finished) re-ran on
+    # a fresh pool: re-runs are retries, not failures.
     assert report.pool_breaks == 1
-    assert report.retries == 1
+    assert 1 <= report.retries <= 2
+    assert report.attempts == len(jobs) + report.retries
     assert report.ok()
     assert _payloads(results) == _payloads(clean)
 
@@ -213,24 +212,20 @@ def test_prewarm_failure_is_isolated_to_its_workload():
     assert all(f.kind == "trace" for f in report.failures)
 
 
-def _single_kind_plan(kind, jobs, attempts):
+def _single_kind_plan(kind, jobs):
     """A seed where ``kind`` alone fires on some job's first attempt (or
-    first record write) but never on all ``attempts`` of one job.
+    first record write).
 
     Searched deterministically, like :func:`_acceptance_plan`.
     """
     for seed in range(1000):
         plan = FaultPlan(seed=seed, **{kind: 0.3})
         if kind.startswith("store_"):
-            if any(plan.roll(kind, j.fingerprint + ".json", 0)
-                   for j in jobs):
-                return plan
-            continue
-        keys = [j.fingerprint for j in jobs]
-        if (any(plan.would_fail(kind, key) for key in keys)
-                and not any(all(plan.would_fail(kind, key, n)
-                                for n in range(1, attempts + 1))
-                            for key in keys)):
+            fired = (plan.roll(kind, j.fingerprint + ".json", 0)
+                     for j in jobs)
+        else:
+            fired = (plan.would_fail(kind, j.fingerprint) for j in jobs)
+        if any(fired):
             return plan
     raise AssertionError("no qualifying seed in range — widen the search")
 
@@ -241,7 +236,7 @@ def test_each_fault_kind_alone_leaves_a_pool_campaign_byte_identical(
         tmp_path, kind):
     jobs = _jobs(instructions=317)
     clean = _clean(jobs)
-    plan = _single_kind_plan(kind, jobs, RetryPolicy().max_attempts)
+    plan = _single_kind_plan(kind, jobs)
     store = ResultStore(str(tmp_path / "store"))
     report = CampaignReport()
     with injected_faults(plan) as injector:
@@ -253,8 +248,6 @@ def test_each_fault_kind_alone_leaves_a_pool_campaign_byte_identical(
     # their evidence is what the coordinator absorbed).
     if kind == "worker_death":
         assert report.pool_breaks >= 1
-    elif kind == "job_exception":
-        assert report.retries >= 1
     elif kind.startswith("store_"):
         assert injector.counts[kind] >= 1
 
@@ -308,6 +301,8 @@ def test_acceptance_chaos_campaign_is_byte_identical_and_store_heals(
     assert report.pool_breaks >= 1
     assert injector.counts["store_truncate"] >= 1
     assert _payloads(faulty) == _payloads(clean)
+    # every cell lost with a dead worker re-ran: the ledger balances
+    assert report.retries >= 1 and report.ok() and _balanced(report)
 
     # the torn record reads as corrupt, is quarantined, and a re-run
     # recomputes exactly the damaged cells — byte-identical again

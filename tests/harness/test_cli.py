@@ -33,18 +33,27 @@ def test_area_command(capsys):
     ("scenarios", "-j", "2"),
     ("area", "--cold"),
     ("characterize", "-j", "2"),
-    ("characterize", "--faults", "seed=1,job_exception=1.0"),
+    ("characterize", "--faults", "slow=1"),
     ("characterize", "--trace"),
+    ("figure5", "--retries", "2"),
     ("wgen", "generate", "--l2-latency", "40"),
+    ("wgen", "generate", "-n", "5"),
+    ("wgen", "generate", "-w", "mcf_like"),
     ("wgen", "characterize", "--cold"),
+    ("wgen", "characterize", "-N", "3"),
+    ("wgen", "characterize", "-o", "x.json"),
     ("wgen", "list", "-j", "2"),
+    ("wgen", "list", "-n", "5"),
+    ("wgen", "list", "--seed", "3"),
 ], ids=" ".join)
 def test_fixed_tables_reject_campaign_flags(argv):
     """A command accepts only the knobs that change what it prints:
     Figure 1 and the area table take none, `characterize` (one
-    in-process in-order run per kernel) no campaign knob, and `wgen`
-    (functional only) just -n and -w.  Accepting one would print the
-    same output silently."""
+    in-process in-order run per kernel) no campaign knob, and each
+    `wgen` action (functional only) just its own: `generate` the
+    generator's, `characterize` -n and -w, `list` -w.  Accepting one
+    would print the same output silently.  No command takes the retired
+    `--retries`."""
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
@@ -104,6 +113,23 @@ def test_unknown_kernel_rejected():
 def test_run_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["run", "mesa_like", "tomasulo"])
+
+
+def test_main_leaves_the_environment_as_it_found_it(capsys):
+    """Options reach the engine as REPRO_* variables; an in-process
+    main() restores them, and the tracer --trace switched on, when it
+    returns."""
+    from repro.obs import trace as obs_trace
+
+    def repro_env():
+        return {name: value for name, value in os.environ.items()
+                if name.startswith("REPRO_")}
+
+    before = repro_env()
+    run_cli(capsys, "run", "mesa_like", "in-order", "-n", "300", "-j", "1",
+            "--no-store", "--no-leap", "--report", "--trace")
+    assert repro_env() == before
+    assert obs_trace.TRACER is None
 
 
 # ----------------------------------------------------------------------

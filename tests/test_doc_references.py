@@ -1,9 +1,11 @@
 """Docs may name only what exists.
 
 The README, the verify notes and the Makefile's comments tell a reader
-which files to open and which make targets to run.  When a change
-deletes a script or a target, a doc line left naming it sends the next
-reader to nothing; these tests fail on such a half-done retirement.
+which files to open, which make targets to run and which ``REPRO_*``
+environment knobs to set.  When a change deletes a script, a target or
+a knob, a doc line left naming it sends the next reader to nothing;
+these tests fail on such a half-done retirement.  The README must also
+name every knob the code reads, so a new one cannot stay hidden.
 """
 
 import pathlib
@@ -29,10 +31,20 @@ PATH = re.compile(r"(?<![\w./-])((?:benchmarks|examples|src|tests)/"
 CODE = re.compile(r"```.*?```|`(?:[^`\n]|\n(?!\n))+`", re.S)
 MAKE = re.compile(r"\bmake\s+([a-z][\w-]*)")
 TARGET = re.compile(r"^([a-z][\w-]*):(?!=)", re.M)
+#: An environment knob, as docs name it and as the code reads it (a
+#: quoted string in ``src/``).
+KNOB = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+QUOTED_KNOB = re.compile(r'"(REPRO_[A-Z0-9_]+)"')
 
 
 def _text(doc):
     return (ROOT / doc).read_text(encoding="utf-8")
+
+
+def _knobs_read_by_src():
+    return {name for path in sorted((ROOT / "src").rglob("*.py"))
+            for name in QUOTED_KNOB.findall(
+                path.read_text(encoding="utf-8"))}
 
 
 @pytest.mark.parametrize("doc", DOCS)
@@ -50,3 +62,15 @@ def test_make_targets_exist(doc):
     assert named, f"{doc} names no make target"
     unknown = sorted(named - targets)
     assert not unknown, f"{doc} names unknown make targets: {unknown}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_named_env_knobs_are_read_by_the_code(doc):
+    unknown = sorted(set(KNOB.findall(_text(doc))) - _knobs_read_by_src())
+    assert not unknown, f"{doc} names env knobs no code reads: {unknown}"
+
+
+def test_readme_names_every_env_knob_the_code_reads():
+    missing = sorted(_knobs_read_by_src()
+                     - set(KNOB.findall(_text("README.md"))))
+    assert not missing, f"README.md does not name env knobs: {missing}"
