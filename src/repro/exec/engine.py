@@ -10,10 +10,10 @@ after its worker died, an earlier call via the memo, or an earlier
 Each fresh fingerprint resolves through three tiers:
 
 1. RAM memo (:data:`~repro.exec.cache.RESULT_CACHE`),
-2. disk store (:mod:`~repro.exec.store`, ``REPRO_CACHE_DIR``) — batched
-   load before the pool; each computed result is flushed *the moment it
-   completes*, so a crashed campaign resumes from its last finished
-   cell, not from zero,
+2. disk store (:mod:`~repro.exec.store`, ``REPRO_CACHE_DIR``) — one
+   lookup per fingerprint before the pool; each computed result is
+   flushed *the moment it completes*, so a crashed campaign resumes
+   from its last finished cell, not from zero,
 3. compute (the pool, or in-process at ``jobs=1``).
 
 Determinism also means a job that raised would raise again, so a job
@@ -24,12 +24,14 @@ attempt ends one of three ways:
   timeout (:func:`job_timeout`, ``REPRO_JOB_TIMEOUT``, pooled runs
   only).  With a timeout set, at most one job per worker is in flight,
   so the timeout times the attempt itself, never a wait in the pool's
-  queue;
+  queue.  An overdue attempt stops submission until its siblings
+  finish or pass their own deadlines; then its pool is torn down and
+  the workers killed, so it costs no sibling and stops running;
 * it is lost with its worker and re-runs for free: a dead worker
-  (``BrokenProcessPool`` — the OOM-killer case) or a pool torn down
-  to reap an overdue sibling costs only the in-flight work.  Completed
-  futures keep their results, the pool is resurrected, and the
-  casualties re-run on it (counted in ``CampaignReport.retries``).
+  (``BrokenProcessPool`` — the OOM-killer case) costs only the
+  in-flight work, at most one job more than there are workers.
+  Completed futures keep their results, the pool is resurrected, and
+  the casualties re-run on it (counted in ``CampaignReport.retries``).
 
 After :data:`MAX_POOL_BREAKS` pool deaths the engine degrades to
 sequential in-process execution, which always terminates.  A dead
@@ -40,10 +42,9 @@ engine absorbed is tallied in a
 never silent.
 
 A failed job's exception is *annotated* with its fingerprint and
-workload, and ``disk.flush_counters()`` plus every already-completed
-result's store flush happen regardless (try/finally), so one bad cell
-never discards its siblings' work; rerunning the command recomputes
-only the failed cells.
+workload, and surfaces only after every sibling has run and flushed its
+result to the store, so one bad cell never discards its siblings'
+work; rerunning the command recomputes only the failed cells.
 
 Deterministic fault injection lives in :mod:`repro.exec.faults`
 (``REPRO_FAULTS`` / :func:`~repro.exec.faults.injected_faults`).
@@ -276,28 +277,50 @@ def _run_tasks_pooled(tasks, workers: int, timeout: float | None,
                                   failures)
 
 
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting and SIGKILL its workers.
+
+    ``shutdown(wait=False)`` alone abandons a worker that is still
+    running an overdue attempt, and the attempt runs on to its end (a
+    livelocked cell: until its ``max_cycles`` guard fires).  Python
+    3.11 has no public call for this (3.14 adds ``kill_workers()``), so
+    the worker table is read from the executor's private ``_processes``
+    before ``shutdown`` drops it.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
+        try:
+            process.kill()
+        except (OSError, ValueError):  # already gone
+            pass
+
+
 def _one_pool_round(queue: deque, workers: int, timeout: float | None,
                     report: CampaignReport, record,
                     failures: dict[int, BaseException]) -> bool:
     """One pool lifetime over ``queue``; returns whether the pool died.
 
-    The round ends when the queue drains or the pool must be torn down:
-    a worker death (``BrokenProcessPool`` fails every pending future at
-    once) or an overdue attempt (a running future cannot be cancelled,
-    so the whole pool is abandoned; ``shutdown(wait=False)`` leaves the
-    stragglers to finish dying on their own).  Jobs lost with the pool
-    go back to the front of ``queue`` for the next one.
+    The round ends when the queue drains, when a worker dies
+    (``BrokenProcessPool`` fails every pending future at once, and those
+    jobs go back to the front of ``queue`` for the next pool), or after
+    an attempt is overdue.  A running future cannot be cancelled, so an
+    overdue attempt fails its job and stops submission; the round's
+    other attempts still finish or pass their own deadlines, and then
+    the pool is torn down once and its workers are killed.
     """
     size = min(workers, len(queue))
     pool = _pool(size)
-    # With a timeout, at most one job per worker is in flight, so each
+    # With a timeout, one attempt per worker is in flight, so each
     # starts as it is submitted and its deadline times the attempt, not
-    # a wait in the pool's queue.  Without one, every job is submitted
-    # at once and the pool's own queue keeps the workers busy.
-    in_flight = size if timeout else len(queue)
+    # a wait in the pool's queue.  Without one, one more job waits in
+    # the pool's queue so no worker idles between completions, and a
+    # worker death loses at most that job beside the running ones.
+    in_flight = size if timeout else size + 1
     pending: dict = {}  # future -> (task, deadline or None)
     lost: list[_Task] = []
     died = overdue = False
+    torn_down = True
 
     def casualty(task: _Task) -> None:
         # Lost with the pool, not by its own fault: it re-runs on the
@@ -327,8 +350,8 @@ def _one_pool_round(queue: deque, workers: int, timeout: float | None,
             record(task, result)
 
     try:
-        while not (died or overdue):
-            while queue and len(pending) < in_flight and not died:
+        while not died:
+            while queue and len(pending) < in_flight and not (died or overdue):
                 task = queue.popleft()
                 task.seq += 1
                 report.attempts += 1
@@ -357,20 +380,24 @@ def _one_pool_round(queue: deque, workers: int, timeout: float | None,
                 for future in [f for f, (_t, d) in pending.items()
                                if d <= now]:
                     task, _deadline = pending.pop(future)
-                    overdue = True  # cannot cancel running futures
+                    overdue = True
                     report.timeouts += 1
                     _fail(task, TimeoutError(
                         f"attempt exceeded {timeout}s"), "timeout",
                         failures, report)
-        # Drain whatever the teardown left behind: futures that did
-        # finish keep their results; the rest are casualties.
+        # Only a dead pool leaves futures pending: those that finished
+        # first keep their results, the rest are lost with it.
         for future, (task, _deadline) in pending.items():
             if future.done() and not future.cancelled():
                 settle(future, task)
             else:
                 casualty(task)
+        torn_down = died or overdue
     finally:
-        pool.shutdown(wait=not (died or overdue), cancel_futures=True)
+        if torn_down:  # a death, an overdue attempt, or an interrupt
+            _kill_workers(pool)
+        else:
+            pool.shutdown()
     queue.extendleft(reversed(lost))
     return died
 
@@ -431,25 +458,23 @@ def _resolve_cached(jobs, memo: bool, disk,
         else:
             positions[key] = [i]
             fresh.append(job)
-    if fresh and disk is not None:
-        # Batched disk tier: one lookup per fresh fingerprint, before
-        # any pool spins up.  Hits feed the RAM memo so the rest of the
-        # process never touches the disk for them again.
-        loaded = disk.get_results([job.fingerprint for job in fresh])
-        if loaded:
-            missing = []
-            for job in fresh:
-                key = job.fingerprint
-                result = loaded.get(key)
-                if result is None:
-                    missing.append(job)
-                    continue
-                report.store_hits += 1
-                if memo:
-                    RESULT_CACHE.put(key, result)
-                for i in positions[key]:
-                    results[i] = result
-            fresh = missing
+    if disk is not None:
+        # Disk tier: one lookup per fresh fingerprint, before any pool
+        # spins up.  Hits feed the RAM memo so the rest of the process
+        # never touches the disk for them again.
+        missing = []
+        for job in fresh:
+            key = job.fingerprint
+            result = disk.get_result(key)
+            if result is None:
+                missing.append(job)
+                continue
+            report.store_hits += 1
+            if memo:
+                RESULT_CACHE.put(key, result)
+            for i in positions[key]:
+                results[i] = result
+        fresh = missing
     return positions, fresh
 
 
@@ -495,7 +520,7 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     report.jobs += len(jobs)
     results: list = [None] * len(jobs)
     # Entered/exited by hand so the span covers the whole campaign —
-    # cache resolution through the final counter flush — without
+    # cache resolution through the final metrics emission — without
     # re-indenting the scheduler.  A no-op singleton when tracing is off.
     campaign_span = obs_trace.span(
         "campaign", jobs=len(jobs), workers=workers,
@@ -554,7 +579,6 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     finally:
         if disk is not None:
             report.store_errors += disk.corrupt - corrupt_before
-            disk.flush_counters()
         tracer = obs_trace.TRACER
         if tracer is not None:
             from ..obs import metrics as obs_metrics

@@ -49,6 +49,13 @@ post-mortem inspection — ``repro cache quarantine`` lists and clears
 them), and fall back to recomputation; the recomputed record then
 rewrites the original path.
 
+Counters
+--------
+``hits``, ``misses``, ``corrupt``, ``writes`` and ``quarantined`` count
+one :class:`ResultStore`'s session and are never persisted; a
+campaign's :class:`~repro.exec.report.CampaignReport` carries its share
+(``store_hits``, ``store_errors``).
+
 Chaos testing: when a fault plan is active (:mod:`repro.exec.faults`,
 ``REPRO_FAULTS``), record writes may be deterministically truncated or
 corrupted before the atomic rename — simulating torn writes the rename
@@ -183,7 +190,6 @@ class ResultStore:
         self.corrupt = 0
         self.writes = 0
         self.quarantined = 0
-        self._flushed = {"hits": 0, "misses": 0, "corrupt": 0, "writes": 0}
 
     # -- paths ----------------------------------------------------------
     def _record_path(self, fp: str) -> str:
@@ -192,9 +198,15 @@ class ResultStore:
     def quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
 
-    # -- generic JSON records ------------------------------------------
-    def get_json(self, fp: str):
-        """The ``payload`` of record ``fp``, or ``None``."""
+    # -- records --------------------------------------------------------
+    def get_result(self, fp: str) -> SimResult | None:
+        """The stored result for ``fp``, or ``None``.
+
+        A missing record is a miss.  A record that does not open, names
+        another key, schema or engine, or does not decode is ``corrupt``:
+        it is quarantined (evidence, not mystery) so the recomputed
+        record can take its place.  Only a decoded record is a hit.
+        """
         path = self._record_path(fp)
         try:
             with open(path, encoding="utf-8") as handle:
@@ -203,66 +215,55 @@ class ResultStore:
                     or record["schema"] != self.schema
                     or record["engine"] != self.engine_version):
                 raise ValueError("record/key mismatch")
-            payload = record["payload"]
+            result = payload_to_result(record["payload"])
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
-            # Truncated write, damaged file, or wrong shape: quarantine
-            # it (evidence, not mystery) so the recomputed record can
-            # take its place.
             self.corrupt += 1
             self._quarantine(path)
             return None
         self.hits += 1
-        return payload
+        return result
 
-    def put_json(self, fp: str, payload) -> bool:
-        """Atomically write one record; False when the store is unwritable."""
-        record = {"schema": self.schema, "engine": self.engine_version,
-                  "fingerprint": fp, "created": time.time(),
-                  "payload": payload}
-        if not self._atomic_write_json(self._record_path(fp), record):
-            return False
-        self.writes += 1
-        return True
+    def put_result(self, fp: str, result: SimResult) -> bool:
+        """Atomically write ``fp``'s record; False when the store is
+        unwritable.
 
-    def _atomic_write_json(self, path: str, obj) -> bool:
-        """Same-directory tmp file + rename; False on any OSError.
-
-        An active fault plan may deterministically mangle the record's
-        bytes first (``store_truncate`` / ``store_corrupt``) — the torn
-        write lands atomically, exactly like a crash mid-flush on a
-        filesystem without rename atomicity would leave it.
+        Same-directory tmp file + rename.  An active fault plan may
+        deterministically mangle the record's bytes first
+        (``store_truncate`` / ``store_corrupt``) — the torn write lands
+        atomically, exactly like a crash mid-flush on a filesystem
+        without rename atomicity would leave it.
         """
-        data = json.dumps(obj, separators=(",", ":"))
-        injector = active_injector()
-        if injector is not None:
-            mangled = injector.mangle_record(data, path)
-            if mangled is not None:
-                data = mangled
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with obs_trace.span("store.flush", fp=fp[:16]):
+            path = self._record_path(fp)
+            record = {"schema": self.schema, "engine": self.engine_version,
+                      "fingerprint": fp, "created": time.time(),
+                      "payload": result_to_payload(result)}
+            data = json.dumps(record, separators=(",", ":"))
+            injector = active_injector()
+            if injector is not None:
+                mangled = injector.mangle_record(data, path)
+                if mangled is not None:
+                    data = mangled
+            directory = os.path.dirname(path)
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                self._discard(tmp)
-                raise
-        except OSError:
-            return False
-        return True
+                os.makedirs(directory, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                        handle.write(data)
+                    os.replace(tmp, path)
+                except BaseException:
+                    self._discard(tmp)
+                    raise
+            except OSError:
+                return False
+            self.writes += 1
+            return True
 
-    def _corrupt_record(self, fp: str, *, was_hit: bool) -> None:
-        """Count and quarantine a damaged record so a rewrite can land."""
-        if was_hit:
-            self.hits -= 1
-        self.corrupt += 1
-        self._quarantine(self._record_path(fp))
-
+    # -- quarantine -----------------------------------------------------
     def _quarantine(self, path: str) -> None:
         """Move a damaged record into ``quarantine/`` for post-mortem.
 
@@ -323,125 +324,6 @@ class ResultStore:
         except OSError:
             pass
 
-    # -- SimResults (the campaign tier) --------------------------------
-    def get_result(self, fp: str) -> SimResult | None:
-        payload = self.get_json(fp)
-        if payload is None:
-            return None
-        try:
-            return payload_to_result(payload)
-        except (KeyError, TypeError, ValueError):
-            self._corrupt_record(fp, was_hit=True)
-            return None
-
-    def get_results(self, fps) -> dict[str, SimResult]:
-        """Batched load: one lookup per fingerprint, hits only."""
-        loaded: dict[str, SimResult] = {}
-        for fp in fps:
-            result = self.get_result(fp)
-            if result is not None:
-                loaded[fp] = result
-        return loaded
-
-    def put_result(self, fp: str, result: SimResult) -> bool:
-        with obs_trace.span("store.flush", fp=fp[:16]):
-            return self.put_json(fp, result_to_payload(result))
-
-    # -- lifetime counters ---------------------------------------------
-    def _counters_path(self) -> str:
-        return os.path.join(self.root, "counters.json")
-
-    def _counters_lock_path(self) -> str:
-        return self._counters_path() + ".lock"
-
-    #: Lock acquisition: 50 tries x 10 ms covers any realistic flush
-    #: (a flush holds the lock for one read + one write); a lock older
-    #: than the stale cutoff belongs to a dead process and is broken.
-    _LOCK_TRIES = 50
-    _LOCK_RETRY_SECONDS = 0.01
-    _LOCK_STALE_SECONDS = 5.0
-
-    def _acquire_counters_lock(self) -> bool:
-        """Create the lock file exclusively, with bounded retry.
-
-        ``O_CREAT | O_EXCL`` is the atomic claim; a holder that died
-        without unlinking (SIGKILL mid-flush) is detected by the lock's
-        age and broken, so one crashed writer can never wedge every
-        later flush.
-        """
-        path = self._counters_lock_path()
-        try:
-            # A store that has never written is rootless; ENOENT from the
-            # claim would read as "unwritable" and skip the lock.
-            os.makedirs(self.root, exist_ok=True)
-        except OSError:
-            return False
-        deadline = (time.monotonic()
-                    + self._LOCK_TRIES * self._LOCK_RETRY_SECONDS)
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return True
-            except FileExistsError:
-                try:
-                    if (time.time() - os.path.getmtime(path)
-                            > self._LOCK_STALE_SECONDS):
-                        self._discard(path)
-                        continue
-                except OSError:
-                    continue  # holder just released: retry immediately
-                if time.monotonic() >= deadline:
-                    return False
-                time.sleep(self._LOCK_RETRY_SECONDS)
-            except OSError:
-                return False  # unwritable root: caller falls back
-
-    def flush_counters(self) -> None:
-        """Fold this session's counter deltas into ``counters.json``.
-
-        Read-merge-rename under an exclusive lock file, so concurrent
-        flushes (parallel CLI runs or campaigns over one store)
-        serialise instead of overwriting each other's increments.  If
-        the lock cannot be had within the bounded retry (contention
-        storm, unwritable root, stale-break failure), fall back to the
-        old best-effort unlocked merge — the lifetime
-        numbers feed ``repro cache stats`` diagnostics, and a possibly
-        dropped increment beats a lost flush or a wedged campaign.
-        """
-        deltas = {name: getattr(self, name) - self._flushed[name]
-                  for name in self._flushed}
-        if not any(deltas.values()):
-            return
-        if obs_trace.TRACER is not None:
-            # Mirror the session deltas into the metrics registry — the
-            # merge-safe face of counters.json — before they are folded
-            # away into the lifetime totals.
-            from ..obs import metrics as obs_metrics
-
-            obs_metrics.REGISTRY.count_into("store", deltas)
-        with obs_trace.span("store.flush", kind="counters"):
-            locked = self._acquire_counters_lock()
-            try:
-                totals = self.read_counters()
-                for name, delta in deltas.items():
-                    totals[name] = totals.get(name, 0) + delta
-                if not self._atomic_write_json(self._counters_path(), totals):
-                    return
-                for name in self._flushed:
-                    self._flushed[name] = getattr(self, name)
-            finally:
-                if locked:
-                    self._discard(self._counters_lock_path())
-
-    def read_counters(self) -> dict:
-        try:
-            with open(self._counters_path(), encoding="utf-8") as handle:
-                totals = json.load(handle)
-            return {str(k): int(v) for k, v in totals.items()}
-        except (OSError, ValueError, TypeError):
-            return {}
-
     # -- maintenance (the `repro cache` subcommand) --------------------
     @staticmethod
     def _iter_record_paths(version_dir: str):
@@ -497,7 +379,6 @@ class ResultStore:
             "entries": current["entries"],
             "bytes": current["bytes"],
             "stale": stale,
-            "lifetime": self.read_counters(),
         }
 
     def verify(self) -> dict:
@@ -509,27 +390,17 @@ class ResultStore:
         its next (possibly mid-campaign) lookup.  A store shared by
         several campaigns gets its health check without running a
         single job.
-
-        The session hit/miss counters are restored afterwards: an audit
-        is not campaign traffic, and must not inflate the lifetime
-        numbers ``repro cache stats`` reports.  The ``corrupt`` /
-        ``quarantined`` counters keep their deltas — those events are
-        real.
         """
-        hits_before, misses_before = self.hits, self.misses
         ok = quarantined = 0
-        try:
-            for path in list(self._iter_record_paths(self.version_dir)):
-                fp = os.path.basename(path)[:-5]
-                corrupt_before = self.corrupt
-                if self.get_result(fp) is not None:
-                    ok += 1
-                elif self.corrupt > corrupt_before:
-                    quarantined += 1
-                # else: the record vanished mid-scan (concurrent gc/
-                # clear) — nothing to verify, nothing to count.
-        finally:
-            self.hits, self.misses = hits_before, misses_before
+        for path in list(self._iter_record_paths(self.version_dir)):
+            fp = os.path.basename(path)[:-5]
+            corrupt_before = self.corrupt
+            if self.get_result(fp) is not None:
+                ok += 1
+            elif self.corrupt > corrupt_before:
+                quarantined += 1
+            # else: the record vanished mid-scan (concurrent gc/clear) —
+            # nothing to verify, nothing to count.
         return {"root": os.path.abspath(self.root),
                 "schema": self.schema,
                 "engine": self.engine_version,
@@ -539,10 +410,9 @@ class ResultStore:
     def clear(self) -> int:
         """Delete every record (all schemas/engines); removed file count.
 
-        Only store-owned entries (``v*`` version trees, the quarantine
-        directory, and the counters sidecar) are touched, so a
-        mis-pointed ``REPRO_CACHE_DIR`` can not take unrelated files
-        with it.
+        Only store-owned entries (``v*`` version trees and the
+        quarantine directory) are touched, so a mis-pointed
+        ``REPRO_CACHE_DIR`` can not take unrelated files with it.
         """
         removed = self.clear_quarantine()
         for _vname, _ename, edir in list(self._version_dirs()):
@@ -551,7 +421,6 @@ class ResultStore:
             if vname.startswith("v") and os.path.isdir(os.path.join(self.root, vname)):
                 shutil.rmtree(os.path.join(self.root, vname),
                               ignore_errors=True)
-        self._discard(self._counters_path())
         try:
             os.rmdir(self.root)
         except OSError:

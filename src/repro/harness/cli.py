@@ -145,8 +145,8 @@ def _apply_jobs(args) -> None:
 
 
 #: Reports for campaigns still in flight: an interrupt (SIGINT/SIGTERM)
-#: prints these before exiting, so a cancelled run still says what it
-#: finished and flushed instead of dying with a bare traceback.
+#: or a failed cell prints these before exiting, so a cut-off run still
+#: says what it finished, flushed and failed, not just a bare traceback.
 _PENDING_REPORTS: list = []
 
 
@@ -163,16 +163,25 @@ def _report_requested() -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
+def _print_report(report) -> None:
+    # Campaign health goes to stderr, so stdout stays parseable.
+    print(report.summary(), file=sys.stderr)
+    for failure in report.failures:
+        print(f"  failed: {failure}", file=sys.stderr)
+
+
 def _emit_report(report) -> None:
-    # Campaign health goes to stderr (stdout stays parseable); a boring
-    # campaign with zero incidents prints nothing unless --report /
-    # REPRO_REPORT asks for the tallies regardless.
+    # A boring campaign with zero incidents prints nothing unless
+    # --report / REPRO_REPORT asks for the tallies regardless.
     if report in _PENDING_REPORTS:
         _PENDING_REPORTS.remove(report)
     if report.incidents() or _report_requested():
-        print(report.summary(), file=sys.stderr)
-        for failure in report.failures:
-            print(f"  failed: {failure}", file=sys.stderr)
+        _print_report(report)
+
+
+def _print_pending_reports() -> None:
+    for report in _PENDING_REPORTS:
+        _print_report(report)
 
 
 def _config(args) -> ExperimentConfig:
@@ -295,15 +304,6 @@ def cmd_cache(args) -> None:
             print(f"  stale versions: {stale['entries']} entries, "
                   f"{_human_bytes(stale['bytes'])}  "
                   "(`repro cache gc --older-than N` removes these)")
-        lifetime = info["lifetime"]
-        if lifetime:
-            lookups = lifetime.get("hits", 0) + lifetime.get("misses", 0)
-            rate = (100.0 * lifetime.get("hits", 0) / lookups
-                    if lookups else 0.0)
-            print(f"  lifetime: {lifetime.get('hits', 0)} hits / "
-                  f"{lookups} lookups ({rate:.1f}% hit rate), "
-                  f"{lifetime.get('writes', 0)} writes, "
-                  f"{lifetime.get('corrupt', 0)} corrupt")
         quarantine = info["quarantine"]
         if quarantine["entries"]:
             print(f"  quarantine: {quarantine['entries']} corrupt records, "
@@ -661,13 +661,15 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("campaign: interrupted — completed cells are flushed; "
               "rerun the same command to resume", file=sys.stderr)
-        for report in _PENDING_REPORTS:
-            print(report.summary(), file=sys.stderr)
-            for failure in report.failures:
-                print(f"  failed: {failure}", file=sys.stderr)
-        _PENDING_REPORTS.clear()
+        _print_pending_reports()
         return 130
+    except Exception:
+        # A failed cell: its siblings ran and flushed first, so say
+        # which cells finished and which failed before the traceback.
+        _print_pending_reports()
+        raise
     finally:
+        _PENDING_REPORTS.clear()
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
         _restore_repro_env(saved_env)

@@ -6,9 +6,9 @@ Zero-dependency observability for the whole execution stack:
   per-process JSONL logs under ``<store>/obs/``, activated by
   ``REPRO_TRACE`` / ``--trace``; off costs one module-level check.
 - :mod:`repro.obs.metrics` — named counters and histograms with
-  merge-safe snapshots; the one facility behind CampaignReport tallies,
-  store counters, and the engine's leap-audit probes (pool workers
-  publish theirs per attempt).
+  merge-safe snapshots; the one facility behind CampaignReport tallies
+  (store hits and errors included) and the engine's leap-audit probes
+  (pool workers publish theirs per attempt).
 - :mod:`repro.obs.export` — merge obs logs, export Chrome trace-event
   JSON (``repro obs export --chrome``) for Perfetto timelines.
 

@@ -1,13 +1,12 @@
 """The metrics registry: named counters and histograms.
 
 One merge-safe facility behind every tally in the stack.  The
-:class:`~repro.exec.report.CampaignReport` counters, the store's
-``counters.json`` session deltas, and the engine's leap-audit probes
-all mirror into a process-local :class:`MetricsRegistry`, whose
-snapshot (:meth:`MetricsRegistry.snapshot`) is a plain JSON-able dict
-designed so that snapshots from *any* number of processes merge by
-addition (:func:`merge_snapshots`) — counters and histogram buckets
-sum.
+:class:`~repro.exec.report.CampaignReport` counters (the store's hits
+and errors among them) and the engine's leap-audit probes both mirror
+into a process-local :class:`MetricsRegistry`, whose snapshot
+(:meth:`MetricsRegistry.snapshot`) is a plain JSON-able dict designed
+so that snapshots from *any* number of processes merge by addition
+(:func:`merge_snapshots`) — counters and histogram buckets sum.
 
 Everything is stdlib, allocation-light, and safe to leave enabled:
 an ``inc()`` is a dict probe and an integer add.  The expensive parts

@@ -5,7 +5,8 @@ tier a cell came from (memo, disk store, pool worker), no pool at all
 for work that cannot use one, workers that run their jobs sequentially
 and exit with their coordinator, dead workers that cost only their
 in-flight work (which re-runs, counted as retries), and timed-out
-attempts that fail their own job and nothing else.
+attempts that fail their own job and nothing else, and stop running
+when their pool is torn down.
 """
 
 import json
@@ -73,6 +74,13 @@ def _die_once(arg):
         open(marker, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
     return value * 10
+
+
+def _nap_then_die_once(arg):
+    """:func:`_die_once` after a 20 ms nap, so that most of a campaign
+    is still waiting for a worker when item 1 kills its own."""
+    time.sleep(0.02)
+    return _die_once(arg)
 
 
 def _fail_on_three(x):
@@ -291,6 +299,21 @@ def test_sigkilled_worker_is_a_casualty_not_a_failure(tmp_path):
     assert report.ok() and _balanced(report)
 
 
+def test_a_worker_death_loses_only_in_flight_jobs(tmp_path):
+    # Without a timeout the pool holds one queued job beside the running
+    # ones, so a worker death re-runs at most workers + 1 jobs, not
+    # every job still waiting in line.
+    marker = str(tmp_path / "killed-once")
+    report = CampaignReport()
+    results = parallel_map(_nap_then_die_once,
+                           [(marker, i) for i in range(20)],
+                           workers=2, report=report)
+    assert results == [10 * i for i in range(20)]
+    assert report.pool_breaks == 1 and report.degradations == 0
+    assert 1 <= report.retries <= 3
+    assert report.ok() and _balanced(report)
+
+
 def test_pool_exception_is_not_retried_and_names_its_item():
     report = CampaignReport()
     with pytest.raises(ValueError, match="three is right out") as excinfo:
@@ -318,6 +341,36 @@ def test_timed_out_attempts_stay_charged(monkeypatch):
     assert report.timeouts == 1 and report.attempts == 2
     assert report.computed == 1 and report.retries == 0
     assert report.degradations == 0
+
+
+def test_timed_out_attempts_do_not_outlive_their_pool(monkeypatch):
+    # A running future cannot be cancelled: unless the teardown kills
+    # its worker, an overdue attempt (a livelocked cell) keeps a CPU
+    # busy long after its campaign has returned.
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.5")
+    before = set(multiprocessing.active_children())
+    with pytest.raises(TimeoutError):
+        parallel_map(_nap, [30.0, 0.0], workers=2)
+    deadline = time.monotonic() + 5.0
+    while (set(multiprocessing.active_children()) - before
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_a_timeout_teardown_keeps_siblings_that_finish_in_time(monkeypatch):
+    # Item 0 is overdue at 1.0 s.  Item 2 took item 1's worker at 0.5 s
+    # and ends at 1.25 s, inside its own deadline (1.5 s): the teardown
+    # waits for it rather than throwing it away to re-run from scratch.
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.0")
+    report = CampaignReport()
+    with pytest.raises(TimeoutError):
+        parallel_map(_nap, [3.0, 0.5, 0.75], workers=2, report=report)
+    assert [(f.label, f.kind) for f in report.failures] \
+        == [("_nap[0]", "timeout")]
+    assert report.attempts == 3 and report.retries == 0
+    assert report.computed == 2 and report.timeouts == 1
+    assert _balanced(report)
 
 
 def test_queued_jobs_do_not_time_out_waiting_for_a_worker(monkeypatch):

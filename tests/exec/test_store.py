@@ -70,6 +70,12 @@ def test_store_hit_is_byte_identical_to_fresh_simulation(tmp_path):
     assert reader.hits == len(jobs) and reader.corrupt == 0
 
 
+def _read_record(store, fp):
+    with open(store._record_path(fp), encoding="utf-8") as handle:
+        raw = handle.read()
+    return raw, json.loads(raw)
+
+
 def test_double_complete_is_payload_idempotent(tmp_path):
     # Two CLI processes sharing a store can both compute one fingerprint
     # and put it twice: the records are payload-identical, so the second
@@ -79,11 +85,20 @@ def test_double_complete_is_payload_idempotent(tmp_path):
     fingerprint = jobs[0].fingerprint
     store = ResultStore(str(tmp_path / "store"))
     assert store.put_result(fingerprint, result)
-    first = store.get_json(fingerprint)
+    raw, first = _read_record(store, fingerprint)
     assert store.put_result(fingerprint, result)  # the "loser"
-    second = store.get_json(fingerprint)
-    assert (json.dumps(first, sort_keys=True)
-            == json.dumps(second, sort_keys=True))
+    _, second = _read_record(store, fingerprint)
+    assert (json.dumps(first["payload"], sort_keys=True)
+            == json.dumps(second["payload"], sort_keys=True))
+    # The record layout STORE_SCHEMA names: five keys in this order,
+    # compact separators, the payload result_to_payload writes.
+    assert list(first) == ["schema", "engine", "fingerprint", "created",
+                           "payload"]
+    assert raw == json.dumps(first, separators=(",", ":"))
+    assert (first["schema"], first["engine"], first["fingerprint"]) \
+        == (STORE_SCHEMA, ENGINE_VERSION, fingerprint)
+    assert first["payload"] == json.loads(
+        json.dumps(result_to_payload(result)))
 
 
 def test_payload_round_trip_preserves_interval_tuples():
@@ -172,12 +187,12 @@ def test_clear_removes_only_store_owned_entries(tmp_path):
     store = ResultStore(str(root))
     jobs, results = fresh_results(models=("in-order",))
     store.put_result(jobs[0].fingerprint, results[0])
-    store.flush_counters()
     bystander = root / "NOTES.txt"
     bystander.write_text("not a store record")
     assert store.clear() == 1
     assert bystander.exists()
     assert not (root / VDIR).exists()
+    assert os.listdir(root) == ["NOTES.txt"]
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +275,10 @@ def test_record_without_phases_key_is_corrupt(tmp_path):
     fp = jobs[0].fingerprint
     store = ResultStore(str(tmp_path / "store"))
     store.put_result(fp, results[0])
-    payload = store.get_json(fp)
-    del payload["phases"]
-    store.put_json(fp, payload)
+    _, record = _read_record(store, fp)
+    del record["payload"]["phases"]
+    with open(store._record_path(fp), "w", encoding="utf-8") as handle:
+        json.dump(record, handle)
     reader = ResultStore(str(tmp_path / "store"))
     assert reader.get_result(fp) is None
     assert reader.corrupt == 1

@@ -88,8 +88,6 @@ def test_failing_job_does_not_discard_siblings(tmp_path):
         run_jobs([doomed, good], workers=1, memo=False, store=store)
     # the sibling computed after the failure was flushed anyway
     assert store.get_result(good.fingerprint) is not None
-    # and the session counters reached counters.json (try/finally)
-    assert store.read_counters().get("writes", 0) >= 1
 
 
 @pytest.mark.slow

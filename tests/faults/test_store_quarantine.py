@@ -54,10 +54,14 @@ def test_wrong_shape_payload_is_quarantined(tmp_path):
     result, fp = _computed_result()
     payload = result_to_payload(result)
     del payload["phases"]  # schema v2 requires the key: corrupt shape
-    assert store.put_json(fp, payload)
+    path = store._record_path(fp)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"schema": store.schema, "engine": store.engine_version,
+                   "fingerprint": fp, "payload": payload}, handle)
     assert store.get_result(fp) is None
     assert store.corrupt == 1
-    assert store.hits == 0  # the provisional JSON hit was rolled back
+    assert store.hits == 0  # a record that does not decode is no hit
     assert len(store.quarantine_entries()) == 1
 
 

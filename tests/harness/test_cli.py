@@ -132,6 +132,31 @@ def test_main_leaves_the_environment_as_it_found_it(capsys):
     assert obs_trace.TRACER is None
 
 
+def test_failed_cell_prints_the_campaign_report(capsys, monkeypatch):
+    """A failed cell still ends the command with its exception, but the
+    campaign report comes first: what finished, and every cell that
+    failed, not only the one the exception names."""
+    from repro.harness import experiment
+
+    real_make_core = experiment.make_core
+
+    def make_core(model, trace, config):
+        if model == "icfp":
+            raise RuntimeError("injected icfp failure")
+        return real_make_core(model, trace, config)
+
+    monkeypatch.setattr(experiment, "make_core", make_core)
+    with pytest.raises(RuntimeError, match="injected icfp failure"):
+        main(["figure5", "-n", "300", "-w", "mesa_like,gzip_like", "-j", "1",
+              "--no-store"])
+    err = capsys.readouterr().err
+    assert "campaign: 10 jobs, 8 computed" in err
+    failed = sorted(line.split("[")[0].strip()
+                    for line in err.splitlines()
+                    if line.startswith("  failed: "))
+    assert failed == ["failed: icfp on gzip_like", "failed: icfp on mesa_like"]
+
+
 # ----------------------------------------------------------------------
 # the disk store through the CLI
 # ----------------------------------------------------------------------

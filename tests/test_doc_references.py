@@ -1,15 +1,17 @@
 """Docs may name only what exists.
 
 The README, the verify notes and the Makefile's comments tell a reader
-which files to open, which make targets to run and which ``REPRO_*``
-environment knobs to set.  When a change deletes a script, a target or
-a knob, a doc line left naming it sends the next reader to nothing;
+which files to open, which make targets to run, which ``REPRO_*``
+environment knobs to set and which ``python -m repro`` command lines to
+type.  When a change deletes a script, a target, a knob, a flag or a
+subcommand, a doc line left naming it sends the next reader to nothing;
 these tests fail on such a half-done retirement.  The README must also
 name every knob the code reads, so a new one cannot stay hidden.
 """
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -35,6 +37,7 @@ TARGET = re.compile(r"^([a-z][\w-]*):(?!=)", re.M)
 #: quoted string in ``src/``).
 KNOB = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 QUOTED_KNOB = re.compile(r'"(REPRO_[A-Z0-9_]+)"')
+FENCE = re.compile(r"```.*?```", re.S)
 
 
 def _text(doc):
@@ -74,3 +77,33 @@ def test_readme_names_every_env_knob_the_code_reads():
     missing = sorted(_knobs_read_by_src()
                      - set(KNOB.findall(_text("README.md"))))
     assert not missing, f"README.md does not name env knobs: {missing}"
+
+
+def _documented_commands(doc):
+    """``(line, argv)`` for each ``-m repro`` line in a fenced block,
+    its ``# ...`` comment and ``| ...`` pipe dropped."""
+    for block in FENCE.findall(_text(doc)):
+        for line in block.splitlines():
+            if "-m repro" not in line:
+                continue
+            words = shlex.split(line, comments=True)
+            if "|" in words:
+                words = words[:words.index("|")]
+            start = next(i for i, word in enumerate(words)
+                         if word == "-m" and words[i + 1] == "repro")
+            yield line, words[start + 2:]
+
+
+@pytest.mark.parametrize("doc", [doc for doc in DOCS if doc.endswith(".md")])
+def test_documented_commands_parse(doc):
+    from repro.harness.cli import build_parser
+
+    commands = list(_documented_commands(doc))
+    assert commands, f"{doc} shows no python -m repro command"
+    rejected = []
+    for line, argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(line.strip())
+    assert not rejected, f"{doc} shows commands the CLI rejects: {rejected}"
