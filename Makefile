@@ -77,11 +77,17 @@ chaos:
 ## The repo's benchmark (BENCHMARK.json): `benchmarks/perf/run.py` on
 ## each of its four workloads in turn, printing every run's report and
 ## closing JSON line (`correct`, `failed`, the end-to-end metrics);
-## about 2 min at the default 30 s per workload.  Per-layer costs:
-## `python3 benchmarks/perf/run.py --workload W --trace 1`.
+## about 2 min at the default 30 s per workload.  Stops at the first
+## run that crashes or whose closing line is not `"correct": true`.
+## Per-layer costs: `python3 benchmarks/perf/run.py --workload W --trace 1`.
 bench:
 	for w in fig5-grid miss-bound hit-bound gen-campaign; do \
-		$(PYTHON) benchmarks/perf/run.py --workload $$w || exit 1; \
+		out=$$($(PYTHON) benchmarks/perf/run.py --workload $$w); status=$$?; \
+		printf '%s\n' "$$out"; \
+		[ $$status -eq 0 ] || exit $$status; \
+		printf '%s\n' "$$out" | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "bench: $$w is not correct" >&2; exit 1; }; \
 	done
 
 ## cProfile one in-process pass of the benchmark's Figure 5 grid

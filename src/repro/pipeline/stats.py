@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -13,18 +14,25 @@ class MLPMeter:
     outstanding fills over the cycles during which *at least one* fill
     is outstanding — the definition behind Table 2's "D$ MLP" and
     "L2 MLP" columns.
+
+    The fills live in one flat ``array('q')``, ``_fills``: the start
+    and end cycle of each fill in turn (``start0, end0, start1, ...``).
+    A meter thus holds no Python object per fill, and the result store
+    (:mod:`repro.exec.store`) rebuilds one from raw bytes.
     """
 
     def __init__(self) -> None:
-        self._intervals: list[tuple[int, int]] = []
+        self._fills = array("q")
 
     def add(self, start: int, end: int) -> None:
         if end > start:
-            self._intervals.append((start, end))
+            fills = self._fills
+            fills.append(start)
+            fills.append(end)
 
     @property
     def count(self) -> int:
-        return len(self._intervals)
+        return len(self._fills) // 2
 
     def average(self) -> float:
         """Time-averaged outstanding fills while >= 1 is outstanding.
@@ -32,12 +40,11 @@ class MLPMeter:
         Returns 1.0 when there were misses but no overlap, and 0.0 when
         there were no misses at all (callers typically display "-").
         """
-        if not self._intervals:
+        fills = self._fills
+        if not fills:
             return 0.0
-        events: list[tuple[int, int]] = []
-        for start, end in self._intervals:
-            events.append((start, 1))
-            events.append((end, -1))
+        events = [(start, 1) for start in fills[::2]]
+        events += [(end, -1) for end in fills[1::2]]
         events.sort()
         active_time = 0
         weighted_time = 0

@@ -9,12 +9,18 @@ All stores live in per-test tmpdirs (the root ``tests/conftest.py``
 fixture), so tier-1 never touches a developer's ``.repro-cache/``.
 """
 
+import base64
 import json
 import os
+import struct
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.inorder import InOrderCore
+from repro.engine.result import SimResult
 from repro.exec import (
     RESULT_CACHE,
     TRACE_CACHE,
@@ -33,6 +39,7 @@ from repro.exec.store import (
 )
 from repro.harness.cli import main
 from repro.harness.experiment import MODELS, ExperimentConfig, make_core
+from repro.pipeline.stats import CoreStats, MLPMeter
 
 CFG = ExperimentConfig(instructions=400)
 
@@ -76,37 +83,104 @@ def _read_record(store, fp):
     return raw, json.loads(raw)
 
 
+def _unpacked_pairs(blob):
+    """A packed meter decoded independently of the store: base64 of
+    zlib-compressed little-endian int64 (start, end) pairs."""
+    raw = zlib.decompress(base64.b64decode(blob, validate=True))
+    return [list(pair) for pair in struct.iter_unpack("<qq", raw)]
+
+
 def test_double_complete_is_payload_idempotent(tmp_path):
     # Two CLI processes sharing a store can both compute one fingerprint
-    # and put it twice: the records are payload-identical, so the second
-    # put is a semantic no-op whoever wins the rename.
-    jobs, [result] = fresh_results(models=("in-order",),
-                                   workload="mesa_like")
+    # and put it twice: the two writes are byte-identical, so the second
+    # put is a no-op whoever wins the rename.
+    jobs, [result] = fresh_results(models=("in-order",))
     fingerprint = jobs[0].fingerprint
     store = ResultStore(str(tmp_path / "store"))
     assert store.put_result(fingerprint, result)
     raw, first = _read_record(store, fingerprint)
     assert store.put_result(fingerprint, result)  # the "loser"
-    _, second = _read_record(store, fingerprint)
-    assert (json.dumps(first["payload"], sort_keys=True)
-            == json.dumps(second["payload"], sort_keys=True))
-    # The record layout STORE_SCHEMA names: five keys in this order,
-    # compact separators, the payload result_to_payload writes.
-    assert list(first) == ["schema", "engine", "fingerprint", "created",
-                           "payload"]
+    assert _read_record(store, fingerprint)[0] == raw
+    # The record layout STORE_SCHEMA names: four keys in this order,
+    # compact separators, and the payload result_to_payload writes with
+    # each MLP meter packed into one ASCII string.
+    assert list(first) == ["schema", "engine", "fingerprint", "payload"]
     assert raw == json.dumps(first, separators=(",", ":"))
     assert (first["schema"], first["engine"], first["fingerprint"]) \
         == (STORE_SCHEMA, ENGINE_VERSION, fingerprint)
-    assert first["payload"] == json.loads(
-        json.dumps(result_to_payload(result)))
+    assert result_to_payload(payload_to_result(first["payload"])) \
+        == result_to_payload(result)
+    expected = json.loads(json.dumps(result_to_payload(result)))
+    stats = first["payload"]["stats"]
+    for meter_name in ("d_mlp", "l2_mlp"):
+        assert expected["stats"][meter_name], "no fills to check"
+        assert isinstance(stats[meter_name], str)
+        assert _unpacked_pairs(stats[meter_name]) \
+            == expected["stats"][meter_name]
+        stats[meter_name] = expected["stats"][meter_name]
+    assert first["payload"] == expected
 
 
-def test_payload_round_trip_preserves_interval_tuples():
-    _, results = fresh_results(models=("icfp",))
-    rebuilt = payload_to_result(
-        json.loads(json.dumps(result_to_payload(results[0]))))
-    for interval in rebuilt.stats.d_mlp._intervals:
-        assert isinstance(interval, tuple)
+def test_payload_round_trip_preserves_interval_tuples(tmp_path):
+    # A store round trip rebuilds each meter fill for fill: the same
+    # (start, end) pairs, in order, in the same flat int64 array.
+    jobs, [result] = fresh_results(models=("icfp",))
+    store = ResultStore(str(tmp_path / "store"))
+    store.put_result(jobs[0].fingerprint, result)
+    rebuilt = store.get_result(jobs[0].fingerprint)
+    assert result.stats.d_mlp.count > 0
+    for meter_name in ("d_mlp", "l2_mlp"):
+        live = getattr(result.stats, meter_name)._fills
+        loaded = getattr(rebuilt.stats, meter_name)._fills
+        assert loaded.typecode == live.typecode == "q"
+        assert loaded == live
+
+
+def _reference_mlp(intervals):
+    """(count, average) by the tuple-list event sweep the flat meter
+    replaced."""
+    kept = [(start, end) for start, end in intervals if end > start]
+    if not kept:
+        return 0, 0.0
+    events = sorted([(start, 1) for start, _ in kept]
+                    + [(end, -1) for _, end in kept])
+    active_time = weighted_time = depth = 0
+    prev = events[0][0]
+    for time, delta in events:
+        if depth > 0 and time > prev:
+            active_time += time - prev
+            weighted_time += (time - prev) * depth
+        prev = time
+        depth += delta
+    return len(kept), (weighted_time / active_time if active_time else 0.0)
+
+
+#: Cycles that collide often (ties, empty and reversed fills) and
+#: cycles past 32 bits.
+_cycles = st.one_of(st.integers(0, 40), st.integers(2**31 - 4, 2**31 + 4),
+                    st.integers(2**31, 2**62))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_cycles, _cycles), max_size=40))
+@example([])
+@example([(2**31 - 1, 2**31), (5, 5), (9, 3), (2**40, 2**41)])
+def test_flat_meter_matches_tuple_sweep_and_round_trips(intervals):
+    meter = MLPMeter()
+    for start, end in intervals:
+        meter.add(start, end)
+    count, average = _reference_mlp(intervals)
+    assert meter.count == count
+    assert meter.average().hex() == average.hex()
+    result = SimResult(model="in-order", workload="prop",
+                       stats=CoreStats(d_mlp=meter))
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        assert store.put_result("ab" * 32, result)
+        loaded = store.get_result("ab" * 32)
+    assert loaded.stats.d_mlp._fills == meter._fills
+    assert loaded.stats.d_mlp.average().hex() == average.hex()
+    assert loaded.stats.l2_mlp.count == 0
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +272,24 @@ def test_clear_removes_only_store_owned_entries(tmp_path):
 # ----------------------------------------------------------------------
 # corruption
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong_shape"])
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+#: Damage to a record's packed D$ meter: each makes the record corrupt.
+METER_DAMAGE = {
+    # a non-alphabet character: lenient base64 would skip it and decode
+    "meter_not_base64": lambda blob: blob[:4] + "*" + blob[4:],
+    "meter_not_zlib": lambda blob: _b64(b"not zlib data"),
+    # three int64 values: whole int64s, but not whole (start, end) pairs
+    "meter_odd_int64s": lambda blob: _b64(zlib.compress(bytes(24))),
+    # the nested-list form STORE_SCHEMA 3 wrote
+    "meter_nested_list": lambda blob: [[0, 10], [5, 20]],
+}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong_shape",
+                                    *METER_DAMAGE])
 def test_corrupt_record_falls_back_to_recompute(tmp_path, damage):
     root = str(tmp_path / "store")
     store = ResultStore(root)
@@ -212,10 +303,16 @@ def test_corrupt_record_falls_back_to_recompute(tmp_path, damage):
     elif damage == "garbage":
         with open(path, "w") as handle:
             handle.write("not json {")
-    else:
+    elif damage == "wrong_shape":
         with open(path, "w") as handle:
             json.dump({"schema": store.schema, "engine": store.engine_version,
                        "fingerprint": fp, "payload": {"stats": {}}}, handle)
+    else:
+        _, record = _read_record(store, fp)
+        stats = record["payload"]["stats"]
+        stats["d_mlp"] = METER_DAMAGE[damage](stats["d_mlp"])
+        with open(path, "w") as handle:
+            json.dump(record, handle)
 
     reader = ResultStore(root)
     assert reader.get_result(fp) is None
