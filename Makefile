@@ -13,7 +13,8 @@ SMOKE_INSTRUCTIONS ?= 1200
 SMOKE_WORKLOADS ?= mcf_like,mesa_like,equake_like,gzip_like
 SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/faults tests/harness \
 	tests/engine tests/workloads tests/wgen tests/stats tests/obs tests/branch \
-	tests/memory tests/pipeline tests/baselines tests/core tests/integration
+	tests/memory tests/pipeline tests/baselines tests/core tests/integration \
+	tests/test_doc_references.py
 # Smoke deselects @pytest.mark.slow (wide fixed-budget grids that ignore
 # the REPRO_* fast profile); the full suite always runs them.
 SMOKE_MARKERS ?= not slow

@@ -10,7 +10,6 @@ overlaps misses that issue before the pipeline blocks.
 from __future__ import annotations
 
 from ..engine.base import CoreModel, ISSUED
-from ..memory.hierarchy import NO_MSHRS
 
 
 class InOrderCore(CoreModel):
@@ -31,9 +30,7 @@ class InOrderCore(CoreModel):
             ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
         if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
+            data_mshrs.retire_complete(cycle)
         # in-order issue
         ports = self.ports
         ports.int_free = ports.int_capacity

@@ -31,7 +31,6 @@ class MultipassCore(RunaheadCore):
         self.result_buffer_entries = result_buffer_entries
         #: dyn.index -> completion latency class reuse marker.
         self._results: set[int] = set()
-        self.result_reuses = 0
 
     # ------------------------------------------------------------------
     def _head_wakeup(self, idx: int) -> int:
@@ -78,7 +77,6 @@ class MultipassCore(RunaheadCore):
                 return STALLED
             ports.mem_free -= 1
         completion = self.cycle + 1
-        self.result_reuses += 1
         if self.mode == RUNAHEAD:
             dst = dyn.dst
             if dst is not None:
@@ -100,7 +98,7 @@ class MultipassCore(RunaheadCore):
                 if self.store_queue.full:
                     self.stats.stalls.store_buffer_full += 1
                     return STALLED
-                self.store_queue.push(dyn.addr, dyn.store_val, self.cycle)
+                self.store_queue.push(dyn.addr, dyn.store_val)
             dst = dyn.dst
             if dst is not None:
                 self.reg_ready[dst] = completion

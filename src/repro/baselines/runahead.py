@@ -23,8 +23,7 @@ from __future__ import annotations
 from ..engine.base import CoreModel, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import ZERO_REG
-from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
-                                MemResult)
+from ..memory.hierarchy import L2, MEMORY, PENDING, STREAM, MemResult
 from .runahead_cache import RunaheadCache
 
 NORMAL = "normal"
@@ -155,9 +154,7 @@ class RunaheadCore(CoreModel):
             ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
         if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
+            data_mshrs.retire_complete(cycle)
         if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
             self._exit_runahead()
         # in-order issue through the mode's path, re-read per
@@ -250,7 +247,7 @@ class RunaheadCore(CoreModel):
             if self.store_queue.full:
                 self.stats.stalls.store_buffer_full += 1
                 return STALLED
-            self.store_queue.push(dyn.addr, dyn.store_val, cycle)
+            self.store_queue.push(dyn.addr, dyn.store_val)
             completion = cycle + 1
         else:
             completion = cycle + self._exec_done[idx]

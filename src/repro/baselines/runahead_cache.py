@@ -22,10 +22,6 @@ class RunaheadCache:
         self._addrs: list[int | None] = [None] * entries
         self._values: list = [None] * entries
         self._poison: list[bool] = [False] * entries
-        self.writes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def _index(self, addr: int) -> int:
         return (addr >> 3) & (self.entries - 1)
@@ -33,20 +29,15 @@ class RunaheadCache:
     def write(self, addr: int, value, poisoned: bool = False) -> None:
         """Record a runahead store (displacing any conflicting entry)."""
         index = self._index(addr)
-        if self._addrs[index] is not None and self._addrs[index] != addr:
-            self.evictions += 1
         self._addrs[index] = addr
         self._values[index] = value
         self._poison[index] = poisoned
-        self.writes += 1
 
     def read(self, addr: int):
         """(value, poisoned) for a forwarding hit, else ``None``."""
         index = self._index(addr)
         if self._addrs[index] == addr:
-            self.hits += 1
             return (self._values[index], self._poison[index])
-        self.misses += 1
         return None
 
     def flush(self) -> None:

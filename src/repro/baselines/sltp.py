@@ -59,7 +59,6 @@ class SLTPCore(ICFPCore):
         #: L1 lines written speculatively during the current episode.
         self._spec_lines: set[int] = set()
         self._flushed_this_episode = False
-        self.spec_line_flushes = 0
 
     # ------------------------------------------------------------------
     # SRL behaviours layered over the shared engine
@@ -82,8 +81,7 @@ class SLTPCore(ICFPCore):
             # SRL rule: speculatively-written lines cannot survive into
             # the rally; flush them (later accesses will miss).
             for line in self._spec_lines:
-                if self.hierarchy.l1d.invalidate(line):
-                    self.spec_line_flushes += 1
+                self.hierarchy.l1d.invalidate(line)
             self._spec_lines.clear()
             self._flushed_this_episode = True
         super()._start_rally_pass()

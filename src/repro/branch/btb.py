@@ -17,18 +17,14 @@ class BTB:
         self.mask = entries - 1
         self._tags = [None] * entries
         self._targets = [0] * entries
-        self.lookups = 0
-        self.hits = 0
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self.mask
 
     def predict(self, pc: int) -> int | None:
         """Predicted target of the control instruction at ``pc``, or None."""
-        self.lookups += 1
         index = self._index(pc)
         if self._tags[index] == pc:
-            self.hits += 1
             return self._targets[index]
         return None
 

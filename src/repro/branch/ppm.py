@@ -54,8 +54,6 @@ class PPMPredictor:
         self.tag_bits = tag_bits
         self.history_lengths = history_lengths
         self.history = 0
-        self.lookups = 0
-        self.mispredicts = 0
         #: Index/tag computation is a pure function of (pc, the longest
         #: history window); loops re-predict the same few branches under
         #: recurring history patterns, so memoize it (bounded), keyed by
@@ -88,7 +86,6 @@ class PPMPredictor:
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc``."""
-        self.lookups += 1
         base_index, tagged = self._indices(pc)
         for level, index, tag in tagged:
             if self.valid_table[level][index] and self.tag_table[level][index] == tag:
@@ -130,7 +127,6 @@ class PPMPredictor:
                 base[base_index] = count - 1
 
         if predicted != taken:
-            self.mispredicts += 1
             self._allocate(tagged, provider_level, taken)
         self.history = ((self.history << 1) | (1 if taken else 0)) & _HISTORY_MASK
 
@@ -148,9 +144,3 @@ class PPMPredictor:
                 self.valid_table[level][index] = True
                 return
             useful[index] -= 1
-
-    @property
-    def accuracy(self) -> float:
-        if not self.lookups:
-            return 1.0
-        return 1.0 - self.mispredicts / self.lookups

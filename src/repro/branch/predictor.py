@@ -16,7 +16,7 @@ class BranchPredictor:
     is fetched and :meth:`update` when it resolves.  ``predict`` returns
     whether the *dynamic* outcome recorded in the trace matches the
     prediction — the engines turn a mismatch into a front-end redirect
-    at execute.
+    at execute, and count it in ``CoreStats.branch_mispredicts``.
     """
 
     def __init__(self, ppm: PPMPredictor | None = None, btb: BTB | None = None,
@@ -24,8 +24,6 @@ class BranchPredictor:
         self.ppm = ppm if ppm is not None else PPMPredictor()
         self.btb = btb if btb is not None else BTB()
         self.ras = ras if ras is not None else RAS()
-        self.predictions = 0
-        self.mispredictions = 0
 
     # ------------------------------------------------------------------
     def predict(self, dyn: DynInst) -> bool:
@@ -35,7 +33,6 @@ class BranchPredictor:
         RAS speculation (push/pop) happens here, at fetch, as in a real
         front end.
         """
-        self.predictions += 1
         if dyn.is_branch:
             # Direct conditional branches carry their target in the
             # instruction, so direction is the only source of error.
@@ -52,7 +49,6 @@ class BranchPredictor:
                 predicted_target = self.btb.predict(dyn.pc)
             if predicted_target == dyn.target_pc:
                 return True
-        self.mispredictions += 1
         return False
 
     def update(self, dyn: DynInst) -> None:
@@ -61,9 +57,3 @@ class BranchPredictor:
             self.ppm.update(dyn.pc, dyn.taken)
         if dyn.taken and dyn.target_pc is not None:
             self.btb.update(dyn.pc, dyn.target_pc)
-
-    @property
-    def accuracy(self) -> float:
-        if not self.predictions:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions

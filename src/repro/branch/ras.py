@@ -17,18 +17,14 @@ class RAS:
         self._stack = [0] * entries
         self._top = 0  # number of logically valid entries, saturating
         self._ptr = 0  # physical top-of-stack index
-        self.pushes = 0
-        self.pops = 0
 
     def push(self, return_pc: int) -> None:
         self._stack[self._ptr] = return_pc
         self._ptr = (self._ptr + 1) % self.capacity
         self._top = min(self._top + 1, self.capacity)
-        self.pushes += 1
 
     def pop(self) -> int | None:
         """Predicted return address, or None when logically empty."""
-        self.pops += 1
         if self._top == 0:
             return None
         self._ptr = (self._ptr - 1) % self.capacity

@@ -159,7 +159,6 @@ class ICFPCore(CoreModel):
             returned = data_mshrs.retire_complete(cycle)
         else:
             returned = NO_MSHRS
-        self.returned_mshrs = returned
         if self.mode != NORMAL:
             if returned:
                 mask = self.poison_alloc.mask_of_returned(returned)

@@ -24,7 +24,6 @@ class PoisonAllocator:
             raise ValueError("poison vectors need at least one bit")
         self.num_bits = num_bits
         self._next = 0
-        self.allocations = 0
 
     @property
     def full_mask(self) -> int:
@@ -41,7 +40,6 @@ class PoisonAllocator:
         if mshr.poison_bit is None:
             mshr.poison_bit = self._next
             self._next = (self._next + 1) % self.num_bits
-            self.allocations += 1
         return 1 << mshr.poison_bit
 
     def mask_of_returned(self, mshrs) -> int:

@@ -25,9 +25,6 @@ class LoadSignature:
         self.bits = bits
         self.hashes = hashes
         self._word = 0
-        self.inserts = 0
-        self.probes = 0
-        self.probe_hits = 0
 
     def _positions(self, addr: int):
         # Word-granular address, mixed with a multiplicative hash per way.
@@ -39,15 +36,10 @@ class LoadSignature:
         """Record a cache-sourced load."""
         for pos in self._positions(addr):
             self._word |= 1 << pos
-        self.inserts += 1
 
     def probe(self, addr: int) -> bool:
         """External store probe: True = possible conflict (squash)."""
-        self.probes += 1
-        hit = all(self._word & (1 << pos) for pos in self._positions(addr))
-        if hit:
-            self.probe_hits += 1
-        return hit
+        return all(self._word & (1 << pos) for pos in self._positions(addr))
 
     def clear(self) -> None:
         """Rally complete: forget everything."""

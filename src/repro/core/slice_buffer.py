@@ -71,8 +71,6 @@ class SliceBuffer:
     def __init__(self, capacity: int = 128) -> None:
         self.capacity = capacity
         self._entries: deque[SliceEntry] = deque()
-        self.captures = 0
-        self.overflows = 0
         self._active = 0
 
     def __len__(self) -> int:
@@ -95,12 +93,10 @@ class SliceBuffer:
     def append(self, entry: SliceEntry) -> None:
         """Capture a miss-dependent instruction (program order)."""
         if self.full:
-            self.overflows += 1
             raise OverflowError("slice buffer full")
         if self._entries and entry.seq <= self._entries[-1].seq:
             raise ValueError("slice buffer must stay in program order")
         self._entries.append(entry)
-        self.captures += 1
         self._active += 1
 
     def reclaim_head(self) -> int:

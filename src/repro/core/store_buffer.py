@@ -76,10 +76,6 @@ class ChainedStoreBuffer:
         self._chain_table = [-1] * chain_table_size
         self.ssn_tail = 0       # next SSN to assign
         self.ssn_complete = -1  # youngest SSN already in the cache
-        self.forward_hits = 0
-        self.forward_misses = 0
-        self.total_excess_hops = 0
-        self.overflows = 0
 
     # ------------------------------------------------------------------
     def _hash(self, addr: int) -> int:
@@ -108,7 +104,6 @@ class ChainedStoreBuffer:
     def allocate(self, addr: int, value, poison: int, seq: int) -> int:
         """Insert a store at the tail; returns its SSN."""
         if self.full:
-            self.overflows += 1
             raise OverflowError("store buffer full")
         ssn = self.ssn_tail
         self.ssn_tail += 1
@@ -159,12 +154,8 @@ class ChainedStoreBuffer:
             visits += 1
             if (before_ssn is None or ssn < before_ssn) and entry.addr == addr:
                 excess = visits - 1  # first access overlaps the D$ probe
-                self.total_excess_hops += excess
-                self.forward_hits += 1
                 return ForwardResult(entry.value, entry.poison, excess, ssn)
             ssn = entry.ssn_link
-        self.forward_misses += 1
-        self.total_excess_hops += max(0, visits - 1)
         return None
 
     def _forward_assoc(self, addr: int, before_ssn: int | None):
@@ -172,9 +163,7 @@ class ChainedStoreBuffer:
         for ssn in range(top - 1, self.ssn_complete, -1):
             entry = self._entries[ssn % self.capacity]
             if entry.ssn == ssn and entry.addr == addr:
-                self.forward_hits += 1
                 return ForwardResult(entry.value, entry.poison, 0, ssn)
-        self.forward_misses += 1
         return None
 
     def _forward_indexed(self, addr: int, before_ssn: int | None):
@@ -197,15 +186,12 @@ class ChainedStoreBuffer:
                     break  # stale pointer into a reused slot
                 ssn = entry.ssn_link
         if ssn <= self.ssn_complete:
-            self.forward_misses += 1
             return None
         entry = self._entries[ssn % self.capacity]
         if entry.ssn != ssn:
-            self.forward_misses += 1
             return None
         if entry.addr == addr:
             # `ssn < before_ssn` holds here by construction of the skip.
-            self.forward_hits += 1
             return ForwardResult(entry.value, entry.poison, 0, ssn)
         # Hash hit, address mismatch: cannot forward and cannot prove
         # independence -> the pipeline must wait for a drain.
@@ -254,9 +240,6 @@ class ChainedStoreBuffer:
         if drain_ready is None or drain_ready <= cycle:
             return cycle + 1
         return drain_ready
-
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_drain_event = next_event_cycle
 
     # ------------------------------------------------------------------
     # squash

@@ -131,7 +131,6 @@ class CoreModel:
         self.store_queue = StoreQueue(cfg.store_buffer_entries)
         self.committed_memory: dict[int, object] = {}
         self.last_completion = 0
-        self.returned_mshrs = []
         self._progress = False
 
         # Reference mode: ``leap=False`` (or a truthy ``REPRO_NO_LEAP``
@@ -315,7 +314,6 @@ class CoreModel:
         """Seal aggregate stats and package the result (once the run
         is done)."""
         self.stats.cycles = max(self.cycle, self.last_completion)
-        self.stats.branch_mispredicts = self.predictor.mispredictions
         if self._obs_probe is not None:
             self._record_probe()
         return SimResult(self.name, self.trace.program.name, self.stats,
@@ -396,6 +394,7 @@ class CoreModel:
                 if not ok:
                     # Wrong path from here: hold fetch until the branch
                     # resolves.
+                    self.stats.branch_mispredicts += 1
                     cursor += 1
                     self.fetch_blocked = True
                     break
@@ -486,7 +485,7 @@ class CoreModel:
         if self.store_queue.full:
             self.stats.stalls.store_buffer_full += 1
             return None
-        self.store_queue.push(dyn.addr, dyn.store_val, self.cycle)
+        self.store_queue.push(dyn.addr, dyn.store_val)
         return self.cycle + 1
 
     def commit(self, dyn: DynInst, completion: int) -> None:

@@ -77,16 +77,34 @@ from .sweep import chain_table_sweep, format_sweep, poison_bits_sweep
 from .tables import format_area_table, format_table2, table2
 
 
+def _at_least(low, convert=int):
+    """argparse type: ``convert(text)``, refused below ``low`` (a zero
+    budget or latency, or a negative gc age that would put the cut-off
+    in the future and expire every record)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not value >= low:  # also refuses nan
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {text}")
+        return value
+    return parse
+
+
 def _add_workload_args(parser: argparse.ArgumentParser,
                        machine: bool = True, budget: bool = True) -> None:
     if budget:
-        parser.add_argument("-n", "--instructions", type=int, default=None,
+        parser.add_argument("-n", "--instructions", type=_at_least(1),
+                            default=None,
                             help="dynamic instructions per kernel")
     parser.add_argument("-w", "--workloads", type=str, default=None,
                         help="comma-separated workload references: kernel "
                              "names, @specfile.json, gen:N[:SEED]")
     if machine:
-        parser.add_argument("--l2-latency", type=int, default=20,
+        parser.add_argument("--l2-latency", type=_at_least(1), default=20,
                             help="L2 hit latency in cycles (Table 1: 20)")
         parser.add_argument("--cold", action="store_true",
                             help="skip the cache warm-up phase")
@@ -608,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect / maintain the disk store")
     p.add_argument("action",
                    choices=("stats", "clear", "gc", "quarantine", "verify"))
-    p.add_argument("--older-than", type=float, default=None, metavar="DAYS",
+    p.add_argument("--older-than", type=_at_least(0, float), default=None,
+                   metavar="DAYS",
                    help="gc: delete records older than DAYS days "
                         "(stale-version records always go)")
     p.add_argument("--clear", action="store_true",

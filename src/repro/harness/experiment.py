@@ -35,8 +35,17 @@ MODELS = ("in-order", "runahead", "multipass", "sltp", "icfp")
 
 
 def default_instructions() -> int:
-    """Per-kernel dynamic instruction budget (env-overridable)."""
-    return int(os.environ.get("REPRO_INSTRUCTIONS", "6000"))
+    """Per-kernel dynamic instruction budget: ``REPRO_INSTRUCTIONS``
+    (a positive integer) if set, else 6 000."""
+    env = os.environ.get("REPRO_INSTRUCTIONS", "6000")
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(
+            f"REPRO_INSTRUCTIONS must be a positive integer, got {env!r}")
+    return budget
 
 
 def selected_workloads() -> list:

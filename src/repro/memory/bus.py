@@ -28,8 +28,6 @@ class Bus:
         self.occupancy = occupancy
         self._next_free_demand = 0
         self._next_free_any = 0
-        self.transfers = 0
-        self.busy_cycles = 0
 
     def schedule(self, earliest: int, demand: bool = True) -> int:
         """Reserve a transfer slot; returns the cycle the transfer *ends*."""
@@ -43,8 +41,6 @@ class Bus:
             start = max(earliest, self._next_free_any)
             end = start + self.occupancy
             self._next_free_any = end
-        self.transfers += 1
-        self.busy_cycles += self.occupancy
         return end
 
     @property
@@ -55,14 +51,7 @@ class Bus:
         """Event-horizon contract: the cycle the bus next goes idle, or
         None when it already is at ``cycle``.  Fill completion times
         already embed bus scheduling (MSHR ``ready_cycle``), so core
-        models need not consult this directly — it exists for symmetry
-        and diagnostics (e.g. utilisation probes that want the
-        drain-out time)."""
+        models need not consult this directly; it keeps the bus within
+        the contract every stateful component follows."""
         next_free = self._next_free_any
         return next_free if next_free > cycle else None
-
-    def utilisation(self, total_cycles: int) -> float:
-        """Fraction of ``total_cycles`` the bus spent transferring data."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / total_cycles)

@@ -58,38 +58,24 @@ class Cache:
         #: Set-index mask, pre-computed: set selection is on the lookup
         #: fast path of every model, every cycle.
         self._set_mask = config.num_sets - 1
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
-    def lookup(self, line_addr: int, update_lru: bool = True) -> bool:
-        """True if ``line_addr`` is present; promotes it to MRU on a hit."""
-        way_list = self._sets[line_addr & self._set_mask]
-        for i, entry in enumerate(way_list):
-            if entry[0] == line_addr:
-                if update_lru and i:
-                    way_list.insert(0, way_list.pop(i))
-                self.hits += 1
-                return True
-        self.misses += 1
-        return False
+    def lookup(self, line_addr: int) -> bool:
+        """True if ``line_addr`` is present; promotes it to MRU on a hit.
 
-    def lookup_if_present(self, line_addr: int) -> bool:
-        """``lookup`` that backs out of misses: a hit promotes to MRU and
-        counts exactly like :meth:`lookup`, but a miss has *no* side
-        effects — the caller is expected to fall back to the full access
-        path, whose own lookup then counts the miss once."""
+        A miss changes nothing, so a caller may probe and then fall back
+        to a fuller access path.
+        """
         way_list = self._sets[line_addr & self._set_mask]
         for i, entry in enumerate(way_list):
             if entry[0] == line_addr:
                 if i:
                     way_list.insert(0, way_list.pop(i))
-                self.hits += 1
                 return True
         return False
 
     def probe(self, line_addr: int) -> bool:
-        """Presence check with no LRU or statistics side effects."""
+        """Presence check with no LRU side effects."""
         way_list = self._sets[line_addr & self._set_mask]
         return any(entry[0] == line_addr for entry in way_list)
 

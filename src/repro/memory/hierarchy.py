@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cache import Cache, CacheConfig
 from .main_memory import MainMemory
-from .mshr import MSHR, MSHRFile, MSHRFull
+from .mshr import MSHR, MSHRFile
 from .prefetch import StreamPrefetcher
 from .victim import VictimBuffer
 
@@ -113,11 +113,6 @@ class MemoryHierarchy:
         )
         self.mshrs = MSHRFile(cfg.mshr_entries)
         self.ifetch_mshrs = MSHRFile(cfg.ifetch_mshr_entries)
-        # Demand statistics (loads + stores).
-        self.data_accesses = 0
-        self.l1d_misses = 0
-        self.l2_misses = 0
-        self.secondary_misses = 0
         # Hot-path scalars (data_access/fetch_access run per issue attempt).
         self._l1d_line_bytes = cfg.l1d.line_bytes
         self._l1i_line_bytes = cfg.l1i.line_bytes
@@ -137,15 +132,12 @@ class MemoryHierarchy:
         """Access the data side; returns timing plus miss classification."""
         line = addr // self._l1d_line_bytes
         lat = self._l1d_lat
-        self.data_accesses += 1
 
         mshrs = self.mshrs
         pending = mshrs._pending.get(line) if mshrs._pending else None
         if pending is not None and pending.ready_cycle > cycle:
-            # Secondary miss: merges into the in-flight fill.  Counted
-            # separately from fresh misses (Table 2 counts line fills).
-            mshrs.merge(line)
-            self.secondary_misses += 1
+            # Secondary miss: merges into the in-flight fill.  Cores
+            # count it apart from fresh misses (Table 2 counts line fills).
             if is_store:
                 self.l1d.mark_dirty(line)
             ready = pending.ready_cycle
@@ -166,16 +158,13 @@ class MemoryHierarchy:
         swapped = self.l1d_victims.extract(line)
         if swapped is not None:
             self._install_l1d(line, dirty=swapped[1] or is_store, cycle=cycle)
-            self.l1d_misses += 1
             return MemResult(cycle + lat + 1, VICTIM, line, l1_miss=True)
 
         # L1 and victim missed: go to L2 (and below).  An MSHR is needed
         # for the L1 fill; if none is free the access must retry.
         if mshrs.full:
-            mshrs.full_stalls += 1
             return MemResult(cycle + 1, STALL, line)
 
-        self.l1d_misses += 1
         l2_line = addr // self._l2_line_bytes
         l2_lat = self._l2_lat
 
@@ -191,7 +180,6 @@ class MemoryHierarchy:
                 level = L2
                 l2_miss = False
             else:
-                self.l2_misses += 1
                 l2_miss = True
                 stream_ready = self.prefetcher.lookup(l2_line, cycle)
                 if stream_ready is not None:
@@ -205,7 +193,7 @@ class MemoryHierarchy:
                 self._install_l2(l2_line, dirty=False, cycle=cycle)
 
         self._install_l1d(line, dirty=is_store, cycle=cycle)
-        mshr = self.mshrs.allocate(line, cycle, ready, is_l2=l2_miss)
+        mshr = mshrs.allocate(line, ready, is_l2=l2_miss)
         return MemResult(ready, level, line, l1_miss=True, l2_miss=l2_miss,
                          mshr=mshr, new_fill=True)
 
@@ -214,13 +202,11 @@ class MemoryHierarchy:
         """Fast path for the dominant L1-hit case; None → take the full
         :meth:`data_access` walk.
 
-        Byte-identical to data_access on the hit arm: same counter
-        increments (``data_accesses`` here, ``hits`` inside the tag
-        probe), same MRU promotion, same dirty marking, same ready
-        cycle.  On any other arm — a live pending fill on the line, or
-        an L1 tag miss — it touches *nothing* (``lookup_if_present``
-        has no miss side effects) so data_access replays from scratch
-        and counts the access exactly once.
+        Identical to data_access on the hit arm: same MRU promotion,
+        same dirty marking, same ready cycle.  On any other arm — a live
+        pending fill on the line, or an L1 tag miss — it changes
+        *nothing* (a tag miss in ``lookup`` has no side effects), so
+        data_access then replays the access from scratch.
         """
         line = addr // self._l1d_line_bytes
         mshrs = self.mshrs
@@ -228,9 +214,8 @@ class MemoryHierarchy:
             pending = mshrs._pending.get(line)
             if pending is not None and pending.ready_cycle > cycle:
                 return None
-        if not self.l1d.lookup_if_present(line):
+        if not self.l1d.lookup(line):
             return None
-        self.data_accesses += 1
         if is_store:
             self.l1d.mark_dirty(line)
         return cycle + self._l1d_lat
@@ -247,7 +232,6 @@ class MemoryHierarchy:
         pending = (ifetch_mshrs._pending.get(line)
                    if ifetch_mshrs._pending else None)
         if pending is not None and pending.ready_cycle > cycle:
-            ifetch_mshrs.merge(line)
             return MemResult(max(cycle + lat, pending.ready_cycle), PENDING,
                              line, l1_miss=True, mshr=pending)
 
@@ -276,28 +260,13 @@ class MemoryHierarchy:
                 level = MEMORY
             self._install_l2(l2_line, dirty=False, cycle=cycle)
         self.l1i.insert(line)
-        mshr = self.ifetch_mshrs.allocate(line, cycle, ready, is_l2=l2_miss)
+        mshr = ifetch_mshrs.allocate(line, ready, is_l2=l2_miss)
         return MemResult(ready, level, line, l1_miss=True, l2_miss=l2_miss,
                          mshr=mshr, new_fill=True)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def retire_mshrs(self, cycle: int) -> list[MSHR]:
-        """Free data MSHRs whose fills completed; returns them (miss-return
-        events — the iCFP engine keys rally passes off this list).
-
-        Runs every stepped cycle, so the no-completion case short-circuits
-        on the MSHR files' cached horizons without entering them.
-        """
-        ifetch = self.ifetch_mshrs
-        if ifetch._next_ready is not None and cycle >= ifetch._next_ready:
-            ifetch.retire_complete(cycle)
-        data = self.mshrs
-        if data._next_ready is not None and cycle >= data._next_ready:
-            return data.retire_complete(cycle)
-        return NO_MSHRS
-
     def next_event_cycle(self) -> int | None:
         """The hierarchy's event horizon: the earliest cycle any pending
         fill (data or instruction side) completes, or None when idle."""

@@ -17,13 +17,7 @@ class MainMemory:
     def __init__(self, latency: int = 400, chunk_cycles: int = 4,
                  chunk_bytes: int = 16, line_bytes: int = 128) -> None:
         self.latency = latency
-        self.chunk_cycles = chunk_cycles
-        self.chunk_bytes = chunk_bytes
-        self.line_bytes = line_bytes
-        occupancy = chunk_cycles * (line_bytes // chunk_bytes)
-        self.bus = Bus(occupancy)
-        self.reads = 0
-        self.writebacks = 0
+        self.bus = Bus(chunk_cycles * (line_bytes // chunk_bytes))
 
     @property
     def line_occupancy(self) -> int:
@@ -36,12 +30,10 @@ class MainMemory:
         Demand fills (``prefetch=False``) serialise only against other
         demand fills; prefetch fills queue behind all earlier traffic.
         """
-        self.reads += 1
         earliest_data = cycle + self.latency
         return self.bus.schedule(earliest_data - self.bus.occupancy,
                                  demand=not prefetch)
 
     def write_line(self, cycle: int) -> int:
         """Issue a write-back; consumes bus bandwidth, returns completion."""
-        self.writebacks += 1
         return self.bus.schedule(cycle, demand=False)

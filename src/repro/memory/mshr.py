@@ -14,17 +14,13 @@ from dataclasses import dataclass, field
 
 @dataclass(slots=True)
 class MSHR:
-    """One outstanding line fill."""
+    """One outstanding line fill: its line, its fill time, and the
+    iCFP poison bit it carries."""
 
     line_addr: int
-    issue_cycle: int
     ready_cycle: int
     #: Poison-vector bit index assigned by the iCFP engine (None elsewhere).
     poison_bit: int | None = None
-    #: Demand merges observed while in flight (secondary-miss count).
-    merges: int = 0
-    #: True if the fill was initiated by a prefetch, not a demand access.
-    is_prefetch: bool = False
     #: True if the fill also missed in the L2 (drives 'L2-only' advance
     #: triggers in the Figure 6 configurations).
     is_l2: bool = False
@@ -38,8 +34,10 @@ class MSHRFull(Exception):
 class MSHRFile:
     """A bounded file of MSHRs indexed by line address.
 
-    The file tracks its own *event horizon* — the earliest pending fill
-    time — incrementally, so the every-cycle retire sweep and the leap
+    It holds timing state only: a secondary miss finds the pending MSHR
+    by line address and shares its fill time.  The file tracks its own
+    *event horizon* — the earliest pending fill time — incrementally,
+    so the every-cycle retire sweep and the leap
     engine's :meth:`next_event_cycle` probe are O(1) on the (dominant)
     cycles where nothing completes.  ``ready_cycle`` is immutable after
     allocation, which is what makes the cached minimum sound.
@@ -47,9 +45,6 @@ class MSHRFile:
 
     capacity: int
     _pending: dict[int, MSHR] = field(default_factory=dict)
-    allocations: int = 0
-    merges: int = 0
-    full_stalls: int = 0
     #: Cached min(ready_cycle) over pending fills; None when empty.
     _next_ready: int | None = None
 
@@ -64,28 +59,18 @@ class MSHRFile:
         """The pending MSHR for ``line_addr``, or None."""
         return self._pending.get(line_addr)
 
-    def allocate(self, line_addr: int, issue_cycle: int, ready_cycle: int,
-                 is_prefetch: bool = False, is_l2: bool = False) -> MSHR:
+    def allocate(self, line_addr: int, ready_cycle: int,
+                 is_l2: bool = False) -> MSHR:
         """Allocate an MSHR for a new line fill."""
         if line_addr in self._pending:
             raise ValueError(f"line {line_addr:#x} already pending")
         if self.full:
-            self.full_stalls += 1
             raise MSHRFull(f"no free MSHR for line {line_addr:#x}")
-        mshr = MSHR(line_addr, issue_cycle, ready_cycle,
-                    is_prefetch=is_prefetch, is_l2=is_l2)
+        mshr = MSHR(line_addr, ready_cycle, is_l2=is_l2)
         self._pending[line_addr] = mshr
-        self.allocations += 1
         next_ready = self._next_ready
         if next_ready is None or ready_cycle < next_ready:
             self._next_ready = ready_cycle
-        return mshr
-
-    def merge(self, line_addr: int) -> MSHR:
-        """Record a secondary miss on a pending line."""
-        mshr = self._pending[line_addr]
-        mshr.merges += 1
-        self.merges += 1
         return mshr
 
     def retire_complete(self, cycle: int) -> list[MSHR]:
@@ -111,13 +96,7 @@ class MSHRFile:
         """
         return self._next_ready
 
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_ready_cycle = next_event_cycle
-
     def outstanding_demand(self, cycle: int) -> int:
-        """Number of demand fills still in flight at ``cycle``."""
-        return sum(
-            1
-            for m in self._pending.values()
-            if not m.is_prefetch and m.ready_cycle > cycle
-        )
+        """Number of demand fills still in flight at ``cycle`` (stream
+        prefetches hold stream-buffer slots, never MSHRs)."""
+        return sum(1 for m in self._pending.values() if m.ready_cycle > cycle)

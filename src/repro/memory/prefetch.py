@@ -45,9 +45,6 @@ class StreamPrefetcher:
                  depth: int = 8) -> None:
         self.memory = memory
         self.buffers = [StreamBuffer(depth=depth) for _ in range(num_buffers)]
-        self.prefetch_issues = 0
-        self.hits = 0
-        self.allocations = 0
 
     def enabled(self) -> bool:
         return bool(self.buffers)
@@ -75,7 +72,6 @@ class StreamPrefetcher:
                 buf.queue.pop(0)
             hit = buf.queue.pop(0)
             buf.last_used_cycle = cycle
-            self.hits += 1
             self._top_up(buf, cycle)
             return hit.ready_cycle
         return None
@@ -100,14 +96,12 @@ class StreamPrefetcher:
         victim.queue.clear()
         victim.next_line = line_addr + 1
         victim.last_used_cycle = cycle
-        self.allocations += 1
         self._top_up(victim, cycle)
 
     def _top_up(self, buf: StreamBuffer, cycle: int) -> None:
         """Issue prefetches until the buffer is at depth."""
         while len(buf.queue) < buf.depth:
             ready = self.memory.read_line(cycle, prefetch=True)
-            self.prefetch_issues += 1
             buf.queue.append(_PrefetchedLine(buf.next_line, ready))
             buf.next_line += 1
 

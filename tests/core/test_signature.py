@@ -15,8 +15,9 @@ def test_rejects_bad_geometry():
 def test_insert_then_probe_hits():
     sig = LoadSignature()
     sig.insert(0x2000)
+    occupancy = sig.occupancy()
     assert sig.probe(0x2000)
-    assert sig.probe_hits == 1
+    assert sig.occupancy() == occupancy  # probes never set bits
 
 
 def test_probe_miss_on_unrelated_address():

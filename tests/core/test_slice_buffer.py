@@ -39,7 +39,8 @@ def test_capacity_overflow():
     assert sb.full
     with pytest.raises(OverflowError):
         sb.append(entry(2))
-    assert sb.overflows == 1
+    assert [e.seq for e in sb.entries()] == [0, 1]
+    assert len(sb.active_entries()) == 2
 
 
 def test_sparse_unpoisoning_and_reclaim():

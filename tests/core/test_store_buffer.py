@@ -47,7 +47,6 @@ def test_chain_walk_counts_excess_hops():
     fwd = sb.forward(0x34 * 8)
     assert fwd.value == 10
     assert fwd.excess_hops == 1
-    assert sb.total_excess_hops == 1
     # The younger store is at the chain root: no excess hops.
     assert sb.forward(0x44 * 8).excess_hops == 0
 
@@ -83,7 +82,8 @@ def test_capacity_and_overflow():
     assert sb.full
     with pytest.raises(OverflowError):
         sb.allocate(0x10, 0, 0, seq=2)
-    assert sb.overflows == 1
+    assert len(sb) == 2 and sb.ssn_tail == 2
+    assert sb.forward(0x10) is None
 
 
 def test_drain_advances_ssn_complete_and_terminates_chains():
@@ -117,7 +117,7 @@ def test_drain_blocked_by_poisoned_head():
     sb = make()
     sb.allocate(0x40, None, 0b1, seq=0)
     assert not sb.drain_step(None, 0, {})
-    assert sb.next_drain_event(0) is None  # woken by rally, not time
+    assert sb.next_event_cycle(0) is None  # woken by rally, not time
 
 
 def test_squash_rebuilds_chain_table():

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.baselines.inorder import InOrderCore
-from repro.engine import SimulationDiverged
+from repro.engine import ISSUED, SimulationDiverged
 from repro.functional import run_program
 from repro.harness.experiment import ExperimentConfig, MODELS, make_core
 from repro.isa import Assembler, R, assemble_text
@@ -296,6 +296,91 @@ def test_core_constants_follow_machine_config(name):
     core = InOrderCore(trace, config=config)
     assert read(core) == value
     assert core.run().instructions == 1
+
+
+def issue_cycles(core):
+    """Wrap ``core.try_issue``; the returned dict maps each issued
+    dynamic index to its issue cycle."""
+    try_issue = core.try_issue
+    issued = {}
+
+    def recording_try_issue(idx):
+        outcome = try_issue(idx)
+        if outcome is ISSUED:
+            issued[idx] = core.cycle
+        return outcome
+
+    core.try_issue = recording_try_issue
+    return issued
+
+
+def pair_program(second):
+    """A load at index 0 and ``second`` at index 1: independent, in one
+    fetch group, decode-ready in the same cycle."""
+    a = Assembler("pair")
+    a.word(0x2000, 1)
+    a.word(0x2008, 2)
+    a.ld(R.r2, R.r0, 0x2000)
+    second(a)
+    a.halt()
+    return run_program(a.assemble())
+
+
+def test_one_memory_port_serialises_independent_loads():
+    """Table 1's single fp/load/store/branch port: two independent loads
+    fetched together issue in consecutive cycles, and the wait is a
+    port stall."""
+    config = quick_config()
+    assert (config.int_ports, config.mem_ports) == (2, 1)
+    core = InOrderCore(pair_program(lambda a: a.ld(R.r3, R.r0, 0x2008)),
+                       config=config)
+    issued = issue_cycles(core)
+    core.run()
+    assert core._decode_ready[0] == core._decode_ready[1]
+    assert issued[1] == issued[0] + 1
+    assert core.stats.stalls.port == 1
+
+
+def test_alu_op_pairs_with_a_load():
+    """An ALU op in the second slot takes an integer port: it issues in
+    the load's cycle without a port stall."""
+    core = InOrderCore(pair_program(lambda a: a.addi(R.r3, R.r4, 1)),
+                       config=quick_config())
+    issued = issue_cycles(core)
+    core.run()
+    assert issued[1] == issued[0]
+    assert core.stats.stalls.port == 0
+
+
+def test_each_mispredicted_fetch_counts_once():
+    """``branch_mispredicts`` counts every fetch the predictor got
+    wrong, once: the same number a wrapper around ``predict`` sees."""
+    trace = run_program(assemble_text(
+        """
+        li r1, 0
+        li r2, 60
+        loop:
+            addi r1, r1, 1
+            andi r3, r1, 3
+            beq r3, r0, skip
+            nop
+        skip:
+            bne r1, r2, loop
+        halt
+        """))
+    core = InOrderCore(trace, config=quick_config())
+    predict = core.predictor.predict
+    wrong = []
+
+    def recording_predict(dyn):
+        ok = predict(dyn)
+        if not ok:
+            wrong.append(dyn.index)
+        return ok
+
+    core.predictor.predict = recording_predict
+    stats = core.run().stats
+    assert stats.branch_mispredicts == len(wrong) > 0
 
 
 def test_stall_breakdown_accumulates():

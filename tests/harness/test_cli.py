@@ -59,6 +59,38 @@ def test_fixed_tables_reject_campaign_flags(argv):
     assert excinfo.value.code == 2
 
 
+#: Every subcommand that takes a budget (-n) and, unless marked False,
+#: an L2 latency, with the positional arguments it requires.
+_BUDGETED = (
+    (("characterize",), True), (("figure5",), True), (("figure6",), True),
+    (("figure7",), True), (("figure8",), True), (("table2",), True),
+    (("phases",), True), (("sweep", "chain-table"), True),
+    (("run", "mesa_like", "icfp"), True), (("wgen", "characterize"), False),
+)
+
+
+@pytest.mark.parametrize("argv", [
+    (*command, option, value)
+    for command, machine in _BUDGETED
+    for option in (("-n", "--l2-latency") if machine else ("-n",))
+    for value in ("0", "-5")
+], ids=" ".join)
+def test_non_positive_budgets_and_latencies_are_rejected(argv, capsys):
+    """A zero or negative budget or L2 hit latency is refused before
+    any simulation runs (it used to simulate a grid, then fail in
+    geomean, or print 0-cycle and 0.0 results)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert "must be >= 1, got" in capsys.readouterr().err
+
+
+def test_positive_budgets_and_latencies_parse():
+    args = build_parser().parse_args(
+        ["figure5", "-n", "1", "--l2-latency", "1"])
+    assert (args.instructions, args.l2_latency) == (1, 1)
+
+
 def test_run_command_single_model(capsys):
     out = run_cli(capsys, "run", "mesa_like", "icfp", "-n", "800")
     assert "icfp" in out and "cycles" in out
@@ -192,6 +224,26 @@ def test_cache_gc_requires_older_than(capsys):
         main(["cache", "gc"])
     out = run_cli(capsys, "cache", "gc", "--older-than", "30")
     assert "gc:" in out
+
+
+def stored_results(capsys) -> int:
+    out = run_cli(capsys, "cache", "stats")
+    return int(next(line for line in out.splitlines()
+                    if "total" in line).split()[1])
+
+
+@pytest.mark.parametrize("age", ["-1", "-0.5", "nan"])
+def test_cache_gc_rejects_a_negative_age(capsys, age):
+    """A negative age puts gc's cut-off in the future, which would
+    expire every current record: the parser refuses it and the store
+    keeps its records."""
+    run_cli(capsys, "run", "mesa_like", "in-order", "-n", "400", "-j", "1")
+    assert stored_results(capsys) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "gc", "--older-than", age])
+    assert excinfo.value.code == 2
+    assert "must be >= 0, got" in capsys.readouterr().err
+    assert stored_results(capsys) == 1
 
 
 @pytest.mark.slow

@@ -15,6 +15,7 @@ from repro.harness import (
     selected_workloads,
     speedups_over_inorder,
 )
+from repro.harness.experiment import default_instructions
 from repro.pipeline.stats import CoreStats
 from repro.workloads import ALL_KERNELS, trace_by_name
 
@@ -45,6 +46,13 @@ def test_default_instructions_env(monkeypatch):
     monkeypatch.setenv("REPRO_INSTRUCTIONS", "1234")
     cfg = ExperimentConfig()
     assert cfg.instructions == 1234
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5", ""])
+def test_default_instructions_rejects_a_bad_env(monkeypatch, value):
+    monkeypatch.setenv("REPRO_INSTRUCTIONS", value)
+    with pytest.raises(ValueError, match="REPRO_INSTRUCTIONS"):
+        default_instructions()
 
 
 def test_make_core_every_model():

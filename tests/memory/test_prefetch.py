@@ -8,22 +8,25 @@ def make_prefetcher(buffers=2, depth=4):
     return StreamPrefetcher(mem, num_buffers=buffers, depth=depth), mem
 
 
+def live_streams(pf):
+    return [b for b in pf.buffers if b.live]
+
+
 def test_first_miss_allocates_stream():
     pf, mem = make_prefetcher()
     assert pf.access(100, cycle=0) is None
-    assert pf.allocations == 1
-    assert pf.prefetch_issues == 4  # filled to depth
-    # The stream holds lines 101..104.
-    buf = next(b for b in pf.buffers if b.live)
+    [buf] = live_streams(pf)
+    # The stream holds lines 101..104, filled to depth by four
+    # prefetches spaced by the 32-cycle bus.
     assert [e.line_addr for e in buf.queue] == [101, 102, 103, 104]
+    assert [e.ready_cycle for e in buf.queue] == [100, 132, 164, 196]
 
 
 def test_sequential_misses_hit_the_stream():
     pf, mem = make_prefetcher()
     pf.access(100, cycle=0)
     ready = pf.access(101, cycle=50)
-    assert ready is not None
-    assert pf.hits == 1
+    assert ready == 100  # the prefetched line's fill time
     # The stream topped itself up past the consumed line.
     buf = next(b for b in pf.buffers if b.live)
     assert buf.queue[0].line_addr == 102
@@ -43,9 +46,8 @@ def test_unrelated_miss_allocates_second_stream():
     pf, mem = make_prefetcher(buffers=2)
     pf.access(100, cycle=0)
     pf.access(500, cycle=1)
-    assert pf.allocations == 2
-    live = [b for b in pf.buffers if b.live]
-    assert len(live) == 2
+    live = live_streams(pf)
+    assert sorted(b.queue[0].line_addr for b in live) == [101, 501]
 
 
 def test_lru_stream_replacement():
@@ -65,11 +67,12 @@ def test_prefetches_yield_to_demand_fills():
     # 4 prefetches are in flight, but a demand fill jumps the queue.
     demand = mem.read_line(0)
     assert demand == 100  # raw latency, unaffected by prefetch traffic
-    assert mem.reads == 5
-    # A new prefetch, in contrast, queues behind everything so far.
+    # A new prefetch, in contrast, queues behind everything so far:
+    # the four stream prefetches hold the bus until 100 + 3 * 32.
     before = mem.bus.next_free
+    assert before == 196
     late = mem.read_line(0, prefetch=True)
-    assert late >= before
+    assert late == before + mem.line_occupancy
 
 
 def test_disabled_prefetcher_never_hits():
@@ -78,17 +81,17 @@ def test_disabled_prefetcher_never_hits():
     assert not pf.enabled()
     assert pf.access(1, 0) is None
     assert pf.access(2, 0) is None
-    assert pf.hits == 0
+    assert mem.bus.next_free == 0  # and never prefetches
 
 
 def test_lookup_does_not_allocate():
     mem = MainMemory(latency=100, chunk_cycles=4, chunk_bytes=16, line_bytes=128)
     pf = StreamPrefetcher(mem, num_buffers=2, depth=4)
     assert pf.lookup(100, 0) is None
-    assert pf.allocations == 0
-    assert mem.reads == 0  # demand fill gets the bus first
+    assert live_streams(pf) == []
+    assert mem.bus.next_free == 0  # demand fill gets the bus first
     pf.train(100, 0)
-    assert pf.allocations == 1
+    assert len(live_streams(pf)) == 1
 
 
 def test_outstanding_accounting():

@@ -7,7 +7,6 @@ from repro.pipeline import (
     CoreStats,
     MachineConfig,
     MLPMeter,
-    PortSet,
     StallBreakdown,
     port_kind,
 )
@@ -72,18 +71,6 @@ def test_port_kinds():
     assert port_kind(OpClass.FP_ADD) == "mem"
     assert port_kind(OpClass.LOAD) == "mem"
     assert port_kind(OpClass.BRANCH) == "mem"
-
-
-def test_portset_capacity_table1():
-    ports = PortSet(int_ports=2, mem_ports=1)
-    assert ports.acquire(OpClass.INT_ALU)
-    assert ports.acquire(OpClass.INT_MUL)
-    assert not ports.acquire(OpClass.INT_ALU)  # both int ports used
-    assert ports.acquire(OpClass.LOAD)
-    assert not ports.acquire(OpClass.STORE)    # single mem port used
-    ports.reset()
-    assert ports.available(OpClass.INT_ALU)
-    assert ports.available(OpClass.FP_MUL)
 
 
 # ----------------------------------------------------------------------
