@@ -14,7 +14,7 @@ SMOKE_WORKLOADS ?= mcf_like,mesa_like,equake_like,gzip_like
 SMOKE_TESTS ?= tests/functional tests/isa tests/exec tests/faults tests/harness \
 	tests/engine tests/workloads tests/wgen tests/stats tests/obs tests/branch \
 	tests/memory tests/pipeline tests/baselines tests/core tests/integration \
-	tests/test_doc_references.py
+	tests/test_doc_references.py tests/test_examples.py
 # Smoke deselects @pytest.mark.slow (wide fixed-budget grids that ignore
 # the REPRO_* fast profile); the full suite always runs them.
 SMOKE_MARKERS ?= not slow

@@ -45,16 +45,17 @@ class InOrderCore(CoreModel):
                and self.try_issue(head) is ISSUED):
             head += 1
         self.fetch_head = head
-        self._progress = head != start
+        progress = head != start
         # do_fetch (shared body; guard saves the call when idle)
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
                 and cursor < self._trace_len
-                and cursor - head < self._fq_depth):
-            self.do_fetch()
+                and cursor - head < self._fq_depth
+                and self.do_fetch(cycle, head, cursor) != cursor):
+            progress = True
         # store drain
         store_queue = self.store_queue
         if store_queue._queue and store_queue.drain_step(
                 self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
+            progress = True
+        if not progress:
             self._leap_to_horizon()

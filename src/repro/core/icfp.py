@@ -210,19 +210,19 @@ class ICFPCore(CoreModel):
             if head != start:
                 self.fetch_head = head
                 progress = True
-        self._progress = progress
         # do_fetch (shared body; guard saves the call when idle)
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
                 and cursor < self._trace_len
-                and cursor - head < self._fq_depth):
-            self.do_fetch()
+                and cursor - head < self._fq_depth
+                and self.do_fetch(cycle, head, cursor) != cursor):
+            progress = True
         # gated store-buffer drain + mode-exit checks
         checkpoint = self.checkpoint
         sb = self.sb
         if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
                 self.hierarchy, cycle, self.committed_memory,
                 before_ssn=checkpoint.ssn if checkpoint is not None else None):
-            self._progress = True
+            progress = True
         mode = self.mode
         if mode == SIMPLE_RA:
             self._maybe_resume_advance()
@@ -235,8 +235,8 @@ class ICFPCore(CoreModel):
             # head's issue rules mid-stall: the same head can issue
             # next cycle under the new mode, so the leap must step
             # through the boundary rather than scan past it.
-            self._progress = True
-        if not self._progress:
+            progress = True
+        if not progress:
             self._leap_to_horizon()
 
     def _in_flight_bits(self) -> int:

@@ -261,10 +261,3 @@ class ChainedStoreBuffer:
             entry.ssn_link = self._chain_table[h]
             self._chain_table[h] = ssn
         return max(dropped, 0)
-
-    def live_entries(self):
-        """Live entries oldest-first (diagnostics and validation)."""
-        return [
-            self._entries[ssn % self.capacity]
-            for ssn in range(self.ssn_complete + 1, self.ssn_tail)
-        ]

@@ -15,6 +15,13 @@ four things in one frame::
        lists indexed by dynamic index, so fetch allocates nothing
     4. store drain and mode-exit checks; leap if nothing moved
 
+A call steps one cycle, except in the runahead family (Runahead, and
+Multipass, which adds one result-reuse hook): there a call covers a
+whole runahead stretch, every cycle from the first in runahead mode up
+to the one before the trigger fill returns, each doing the four things
+above.  Callers check the safety limit between calls (:meth:`run`), and
+a stretch checks it between its cycles.
+
 The model is execute-driven over a pre-materialised dynamic trace:
 instructions know their operands, addresses, and branch outcomes, so
 timing decisions (stall-on-use, forwarding, miss classification) are
@@ -131,7 +138,6 @@ class CoreModel:
         self.store_queue = StoreQueue(cfg.store_buffer_entries)
         self.committed_memory: dict[int, object] = {}
         self.last_completion = 0
-        self._progress = False
 
         # Reference mode: ``leap=False`` (or a truthy ``REPRO_NO_LEAP``
         # in the environment, parsed like ``REPRO_STORE``) disables the
@@ -252,25 +258,27 @@ class CoreModel:
             self.hierarchy.l1i.insert(cfg.l1i.line_addr(pc))
 
     def _warm_dcache(self) -> None:
-        """Pre-install the data image's lines in the L2 (not the L1D).
+        """Pre-install the data image's lines in the L2, and only the
+        program's declared hot regions in the L1D.
 
-        Descending address order: kernels place hot structures at low
-        addresses and cold regions high, so inserting high-to-low leaves
-        the low (hot) lines most-recently-used when a structure exceeds
-        the L2.  The L1 is deliberately left cold: hot working sets
-        re-warm through cheap L2 hits within the first couple of
-        thousand instructions, while scan windows larger than the L1
-        would thrash it from any starting state — pre-filling it would
-        only distort the first pass.
+        Ascending address order, stopped at ``assoc`` data words per
+        set: each L2 set keeps its lowest-addressed lines, the highest
+        of them most-recently-used.  Kernels place hot structures at low
+        addresses and cold regions high, so a structure larger than the
+        L2 keeps its (hot) head resident.  The rest of the L1 is
+        deliberately left cold: hot working sets re-warm through cheap
+        L2 hits within the first couple of thousand instructions, while
+        scan windows larger than the L1 would thrash it from any
+        starting state — pre-filling it would only distort the first
+        pass.
         """
         cfg = self.config.hierarchy
-        # Descending insertion leaves the lowest `assoc` lines of every
-        # set resident; everything else would be evicted immediately, so
-        # skip inserting it at all (pure construction-time optimisation).
-        # The skip counts data *words* per set, not lines, so a set whose
-        # lines hold several words warms fewer than `assoc` lines;
-        # counting lines would change the warmed state and every pinned
-        # result.  `line_addr` / `set_index` are inlined: once per word.
+        # No set ever overflows: a word past its set's first `assoc` is
+        # never inserted.  The cap counts data *words* per set, not
+        # lines, so a set whose lines hold several words warms fewer
+        # than `assoc` lines; counting lines would change the warmed
+        # state and every pinned result.  `line_addr` / `set_index` are
+        # inlined: once per word.
         per_set: dict[int, int] = {}
         assoc = cfg.l2.assoc
         line_bytes = cfg.l2.line_bytes
@@ -303,12 +311,18 @@ class CoreModel:
         # out of the per-cycle loop until the run is actually draining.
         while not (self.cursor >= trace_len and done()):
             if self.cycle > max_cycles:
-                raise SimulationDiverged(
-                    f"{self.name}: exceeded {max_cycles} cycles "
-                    f"({self.stats.instructions}/{trace_len} committed)"
-                )
+                raise self._diverged()
             step_cycle()
         return self.finalize()
+
+    def _diverged(self) -> SimulationDiverged:
+        """The safety limit's error: raised by :meth:`run` before a
+        cycle past ``max_cycles``, and by a ``step_cycle`` that runs
+        several cycles per call at the same point."""
+        return SimulationDiverged(
+            f"{self.name}: exceeded {self._max_cycles} cycles "
+            f"({self.stats.instructions}/{self._trace_len} committed)"
+        )
 
     def finalize(self) -> SimResult:
         """Seal aggregate stats and package the result (once the run
@@ -355,16 +369,16 @@ class CoreModel:
     # ==================================================================
     # fetch (shared by every model's step_cycle)
     # ==================================================================
-    def do_fetch(self) -> None:
-        """Fetch up to ``width`` instructions through the I$.
+    def do_fetch(self, cycle: int, head: int, cursor: int) -> int:
+        """Fetch up to ``width`` instructions through the I$ into the
+        window ``[head, cursor)``; stores and returns the new cursor.
 
         Callers apply the eligibility guard first (not branch-blocked,
-        past the resume latch, trace left, room in the window).
+        past the resume latch, trace left, room in the window); fetch
+        made progress when the returned cursor moved.
         """
-        cycle = self.cycle
-        start = cursor = self.cursor
         end = cursor + self._width
-        room = self.fetch_head + self._fq_depth
+        room = head + self._fq_depth
         if room < end:
             end = room
         if self._trace_len < end:
@@ -404,11 +418,10 @@ class CoreModel:
                 self.fetch_resume_cycle = cycle + 1
                 last_line = -1
                 break
-        if cursor != start:
-            self._progress = True
         self.cursor = cursor
         self._last_fetch_line = last_line
         self._ifetch_ready = ifetch_ready
+        return cursor
 
     # ==================================================================
     # issue + execute

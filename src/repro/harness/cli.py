@@ -77,19 +77,20 @@ from .sweep import chain_table_sweep, format_sweep, poison_bits_sweep
 from .tables import format_area_table, format_table2, table2
 
 
-def _at_least(low, convert=int):
-    """argparse type: ``convert(text)``, refused below ``low`` (a zero
-    budget or latency, or a negative gc age that would put the cut-off
-    in the future and expire every record)."""
+def _at_least(low, convert=int, strict=False):
+    """argparse type: ``convert(text)``, refused below ``low``, or at it
+    when ``strict`` (a zero budget, latency or worker count, a timeout
+    that is not positive, or a negative gc age that would put the
+    cut-off in the future and expire every record)."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not value >= low:  # also refuses nan
+        if not (value > low if strict else value >= low):  # refuses nan
             raise argparse.ArgumentTypeError(
-                f"must be >= {low}, got {text}")
+                f"must be {'>' if strict else '>='} {low}, got {text}")
         return value
     return parse
 
@@ -111,14 +112,15 @@ def _add_workload_args(parser: argparse.ArgumentParser,
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-j", "--jobs", type=int, default=None,
+    parser.add_argument("-j", "--jobs", type=_at_least(1), default=None,
                         help="simulation worker processes (default: "
                              "REPRO_JOBS, then all CPUs; 1 = sequential)")
     parser.add_argument("--store", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="use the on-disk result store under "
                              "REPRO_CACHE_DIR (default: REPRO_STORE, on)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=_at_least(0, float, strict=True),
+                        default=None, metavar="SEC",
                         help="per-job wall-clock timeout in pooled runs; "
                              "an overdue job fails "
                              "(default: REPRO_JOB_TIMEOUT, off)")
@@ -143,7 +145,7 @@ def _apply_jobs(args) -> None:
     # wherever the corresponding argument isn't passed explicitly.
     # main() restores them when the command returns.
     if getattr(args, "jobs", None) is not None:
-        os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
+        os.environ["REPRO_JOBS"] = str(args.jobs)
     if getattr(args, "store", None) is not None:
         os.environ["REPRO_STORE"] = "1" if args.store else "0"
     if getattr(args, "timeout", None) is not None:

@@ -278,11 +278,6 @@ class MemoryHierarchy:
             return data
         return ifetch
 
-    def flush_line(self, addr: int) -> bool:
-        """Invalidate the L1D line holding ``addr`` (SLTP speculative-line
-        flush).  Returns True if a line was dropped."""
-        return self.l1d.invalidate(self.config.l1d.line_addr(addr))
-
     def outstanding_demand_misses(self, cycle: int) -> int:
         return self.mshrs.outstanding_demand(cycle)
 

@@ -81,13 +81,6 @@ class StreamPrefetcher:
         if self.buffers:
             self._allocate(line_addr, cycle)
 
-    def access(self, line_addr: int, cycle: int):
-        """Probe-then-train in one call (convenience for tests)."""
-        ready = self.lookup(line_addr, cycle)
-        if ready is None:
-            self.train(line_addr, cycle)
-        return ready
-
     # ------------------------------------------------------------------
     def _allocate(self, line_addr: int, cycle: int) -> None:
         """Start a new stream at ``line_addr + 1`` in the LRU buffer."""

@@ -29,10 +29,12 @@ class MachineConfig:
     #: cache/predictor warm-up; for our short kernels this flag plays
     #: that role for the instruction stream.
     warm_icache: bool = True
-    #: Pre-install the program's initial data image in the D$/L2 the same
-    #: way (steady-state stand-in for the paper's warm-up).  Insertion is
-    #: in ascending address order, so structures larger than a level keep
-    #: only their tail resident -- the LRU steady state of a cyclic scan.
+    #: Pre-install the program's initial data image in the L2, and its
+    #: declared hot regions in the D$ (steady-state stand-in for the
+    #: paper's warm-up).  Insertion is in ascending address order and
+    #: stops at ``assoc`` data words per set, so each L2 set keeps its
+    #: lowest-addressed lines, the highest of them most-recently-used: a
+    #: structure larger than the L2 keeps only its head resident.
     warm_dcache: bool = False
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig.hpca09)
     #: Safety valve for the cycle loop (simulation aborts beyond this).

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.baselines import InOrderCore, RunaheadCache, RunaheadCore
+from repro.baselines import (InOrderCore, MultipassCore, RunaheadCache,
+                             RunaheadCore)
+from repro.baselines.runahead import NORMAL
+from repro.exec.store import result_to_payload
 from repro.functional import run_program
 from repro.isa import Assembler, R, assemble_text
 from repro.pipeline import MachineConfig
+from repro.workloads import trace_by_name
 
 A1, B1 = 0x10000, 0x20000
 
@@ -190,3 +194,27 @@ def test_poisoned_mispredicted_branch_stalls_until_exit():
     r = run_core(RunaheadCore, prog)
     trace = run_program(prog)
     assert r.instructions == len(trace)
+
+
+@pytest.mark.parametrize("leap", [True, False], ids=["leap", "stepped"])
+@pytest.mark.parametrize("cls", [RunaheadCore, MultipassCore],
+                         ids=lambda c: c.name)
+def test_one_step_cycle_call_runs_a_whole_stretch(cls, leap):
+    """A ``step_cycle`` call that runs ahead returns on the cycle before
+    the trigger fill does, so a caller driving the core by hand sees it
+    between runahead stretches, never past a due restore; driven to
+    ``done()`` it gives ``run()``'s result.  Stepped cycle by cycle,
+    the calls are fewer than the cycles: the stretches ran in them."""
+    trace = trace_by_name("mcf_like", 800)
+    whole = cls(trace, config=MachineConfig.hpca09(), leap=leap).run()
+    core = cls(trace, config=MachineConfig.hpca09(), leap=leap)
+    calls = 0
+    while not core.done():
+        core.step_cycle()
+        calls += 1
+        assert core.mode == NORMAL or core.cycle < core._trigger_ready
+        assert core.cycle <= whole.cycles
+    assert core.stats.advance_entries > 0
+    assert result_to_payload(core.finalize()) == result_to_payload(whole)
+    if not leap:
+        assert calls < core.cycle

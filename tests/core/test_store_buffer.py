@@ -167,10 +167,3 @@ def test_indexed_limited_forwarding_stalls_on_hash_conflict():
 def test_indexed_miss_when_bucket_empty():
     sb = make(kind="indexed")
     assert sb.forward(0x40) is None
-
-
-def test_live_entries_view():
-    sb = make()
-    sb.allocate(0x40, 1, 0, seq=0)
-    sb.allocate(0x48, 2, 0, seq=1)
-    assert [e.value for e in sb.live_entries()] == [1, 2]

@@ -6,7 +6,8 @@ import weakref
 
 import pytest
 
-from repro.baselines.inorder import InOrderCore
+from repro.baselines import InOrderCore, MultipassCore, RunaheadCore
+from repro.baselines.runahead import NORMAL
 from repro.engine import ISSUED, SimulationDiverged
 from repro.functional import run_program
 from repro.harness.experiment import ExperimentConfig, MODELS, make_core
@@ -224,11 +225,20 @@ def test_simulation_diverged_guard():
         InOrderCore(trace, config=cfg).run()
 
 
-@pytest.mark.parametrize("leap", [True, False], ids=["leap", "stepped"])
-def test_diverged_guard_is_not_leapt_over(leap):
+@pytest.mark.parametrize("cls, leap", [
+    pytest.param(cls, leap, id=("" if cls is InOrderCore else f"{cls.name}-")
+                 + ("leap" if leap else "stepped"))
+    for cls in (InOrderCore, RunaheadCore, MultipassCore)
+    for leap in (True, False)
+])
+def test_diverged_guard_is_not_leapt_over(cls, leap):
     """The one idle window here (a cold DRAM miss) is a single leap of
-    hundreds of cycles.  A limit inside that window must still raise in
-    both engines; a leap past it never yields a truncated result."""
+    hundreds of cycles in-order, and a runahead period that one
+    ``step_cycle`` call runs through in the runahead family.  A limit
+    inside that window must still raise in both engines, with the
+    message ``run()`` gives, and stepped cycle by cycle, on the first
+    cycle past the limit; a leap or a stretch past it never yields a
+    truncated result."""
     trace = run_program(assemble_text(
         """
         li r1, 0x80000
@@ -237,13 +247,24 @@ def test_diverged_guard_is_not_leapt_over(leap):
         halt
         """
     ))
-    full = InOrderCore(trace, config=quick_config(), leap=leap).run()
+    full = cls(trace, config=quick_config(), leap=leap).run()
     assert full.cycles > 200
     short = dataclasses.replace(quick_config(), max_cycles=50)
-    with pytest.raises(SimulationDiverged):
-        InOrderCore(trace, config=short, leap=leap).run()
+    if cls is not InOrderCore:
+        core = cls(trace, config=quick_config(), leap=leap)
+        while core.mode == NORMAL and not core.done():
+            entered = core.cycle + 1
+            core.step_cycle()
+        assert entered < 50 < core._trigger_ready
+    core = cls(trace, config=short, leap=leap)
+    with pytest.raises(SimulationDiverged,
+                       match=rf"^{cls.name}: exceeded 50 cycles "
+                             rf"\(\d/{len(trace)} committed\)$"):
+        core.run()
+    if not leap:
+        assert core.cycle == 51
     exact = dataclasses.replace(quick_config(), max_cycles=full.cycles)
-    fits = InOrderCore(trace, config=exact, leap=leap).run()
+    fits = cls(trace, config=exact, leap=leap).run()
     assert (fits.cycles, fits.instructions) == (full.cycles, full.instructions)
 
 

@@ -91,6 +91,40 @@ def test_positive_budgets_and_latencies_parse():
     assert (args.instructions, args.l2_latency) == (1, 1)
 
 
+#: Every subcommand that takes the campaign flags, with the positional
+#: arguments it requires.
+_CAMPAIGNS = (("figure5",), ("figure6",), ("figure7",), ("figure8",),
+              ("table2",), ("phases",), ("sweep", "chain-table"),
+              ("run", "mesa_like", "in-order"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param((*command, *flag), message, id=" ".join((*command, *flag)))
+    for command in _CAMPAIGNS
+    for flag, message in (
+        (("-j", "0"), "must be >= 1, got"),
+        (("--jobs", "-2"), "must be >= 1, got"),
+        (("--timeout", "0"), "must be > 0, got"),
+        (("--timeout", "-1"), "must be > 0, got"),
+        (("--timeout", "nan"), "must be > 0, got"),
+    )
+])
+def test_non_positive_jobs_and_timeouts_are_rejected(argv, message, capsys):
+    """A worker count below one and a timeout that is not positive are
+    refused before any simulation runs (`-j 0` used to become 1, and a
+    non-positive timeout ran with no per-job deadline at all)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_positive_jobs_and_timeouts_parse():
+    args = build_parser().parse_args(
+        ["run", "mesa_like", "in-order", "-j", "1", "--timeout", "0.5"])
+    assert (args.jobs, args.timeout) == (1, 0.5)
+
+
 def test_run_command_single_model(capsys):
     out = run_cli(capsys, "run", "mesa_like", "icfp", "-n", "800")
     assert "icfp" in out and "cycles" in out

@@ -202,16 +202,6 @@ def test_l2_eviction_enforces_inclusion(l1i_line):
     assert not h.l2.probe(0)
 
 
-def test_flush_line():
-    h = tiny_hierarchy()
-    r = h.data_access(0x2000, cycle=0)
-    retire(h, r.ready_cycle)
-    assert h.flush_line(0x2000)
-    assert not h.flush_line(0x2000)
-    r2 = h.data_access(0x2000, cycle=r.ready_cycle + 10)
-    assert r2.level in (L2, VICTIM)
-
-
 def test_retire_returns_completed_fills():
     h = tiny_hierarchy()
     r = h.data_access(0x2000, cycle=0)
