@@ -24,7 +24,7 @@ SMOKE_MARKERS ?= not slow
 # seed — deterministic, so a chaos failure reproduces exactly.
 CHAOS_TESTS ?= tests/faults
 
-.PHONY: test smoke smoke-campaign leap-audit chaos bench profile trace
+.PHONY: test smoke smoke-campaign leap-audit chaos bench claims profile trace
 
 # Fast leap-audit slice for `make smoke`: two miss-heavy kernels at the
 # short budget plus the formerly-divergent cells, leap vs reference
@@ -90,6 +90,15 @@ bench:
 			'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
 			|| { echo "bench: $$w is not correct" >&2; exit 1; }; \
 	done
+
+## The paper's qualitative claims: the 12 checks in benchmarks/bench_*.py
+## (who wins, roughly by how much), each a full campaign run once with
+## pytest-benchmark's timing off; about 30 s with REPRO_JOBS=2.  Not part
+## of `make test`: a failing claim is a fidelity finding, not a broken
+## build.
+claims:
+	$(PYTHON) -m pytest -q -o python_files='bench_*.py' benchmarks \
+		--benchmark-disable
 
 ## cProfile one in-process pass of the benchmark's Figure 5 grid
 ## workload and write its top-25 self-time rows to profile.out, each

@@ -26,11 +26,9 @@ class MultipassCore(RunaheadCore):
 
     name = "multipass"
 
-    def __init__(self, trace, config=None, hierarchy=None, predictor=None,
-                 advance_on: str = "l2_d1", result_buffer_entries: int = 128,
-                 **kwargs) -> None:
-        super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, advance_on=advance_on, **kwargs)
+    def __init__(self, trace, config=None, advance_on: str = "l2_d1",
+                 result_buffer_entries: int = 128, **kwargs) -> None:
+        super().__init__(trace, config=config, advance_on=advance_on, **kwargs)
         self.result_buffer_entries = result_buffer_entries
 
     # Runahead's per-cycle body, bound on this class too so class-level

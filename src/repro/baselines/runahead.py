@@ -17,6 +17,13 @@ Configurations follow Section 5.1 / Figure 6:
   secondary D$ misses while running ahead (the "D$-nb" option of
   Figure 1e/f).
 
+Normal mode issues through :meth:`CoreModel.try_issue
+<repro.engine.base.CoreModel.try_issue>`, the one in-order issue rule
+this model shares with the in-order core and Multipass; its miss arm
+asks :meth:`RunaheadCore._try_enter` to start a runahead period if the
+miss qualifies.  (iCFP and SLTP keep their own normal-mode rule: their
+chained store buffer replaces the store queue.)
+
 One ``step_cycle`` call steps one normal-mode cycle or runs a whole
 runahead stretch: from the first runahead-mode cycle (the rest of the
 cycle whose load started the period) up to the cycle before the trigger
@@ -28,9 +35,8 @@ reused head's wake-up and the prune at exit.
 
 from __future__ import annotations
 
-from ..engine.base import CoreModel, ISSUED, STALLED
+from ..engine.base import CoreModel, ENTERED, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
-from ..isa.registers import ZERO_REG
 from ..memory.hierarchy import L2, MEMORY, PENDING, STREAM, MemResult
 from .runahead_cache import RunaheadCache
 
@@ -46,16 +52,14 @@ class RunaheadCore(CoreModel):
     #: stays empty; :class:`~.multipass.MultipassCore` sets it per core.
     result_buffer_entries = 0
 
-    def __init__(self, trace, config=None, hierarchy=None, predictor=None,
-                 advance_on: str = "l2", runahead_cache_entries: int = 256,
+    def __init__(self, trace, config=None, advance_on: str = "l2",
                  leap=None) -> None:
-        super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, leap=leap)
+        super().__init__(trace, config=config, leap=leap)
         if advance_on not in ("l2", "l2_d1", "all"):
             raise ValueError(f"unknown advance_on: {advance_on}")
         self.advance_on = advance_on
         self.mode = NORMAL
-        self.ra_cache = RunaheadCache(runahead_cache_entries)
+        self.ra_cache = RunaheadCache()  # Table 1: 256 entries
         self._shadow_poison: set[int] = set()
         self._trigger_ready = 0
         self._ckpt_cursor = 0
@@ -99,40 +103,35 @@ class RunaheadCore(CoreModel):
     def done(self) -> bool:
         # A runahead period always ends with a restore; the run can only
         # finish in normal mode, after the architectural re-execution.
-        return (
-            self.mode == NORMAL
-            and self.cursor >= self._trace_len
-            and self.fetch_head == self.cursor
-            and self.store_queue.empty
-            and self.cycle >= self.last_completion
-        )
+        return self.mode == NORMAL and super().done()
 
-    def _qualifies_entry(self, result: MemResult) -> bool:
-        """Should this normal-mode miss start a runahead period?
+    def _try_enter(self, dyn: DynInst, result: MemResult) -> bool:
+        """Start a runahead period if this normal-mode miss qualifies.
 
         Only *long* misses are worth a runahead period: true DRAM fills
         or in-flight fills with DRAM-class remaining latency.  Stream-
         buffer hits return in L2-hit-class time — entering runahead on
-        them costs the restart penalty for almost no look-ahead.
+        them costs the restart penalty for almost no look-ahead.  Under
+        ``advance_on="l2_d1"``/``"all"`` a primary D$ miss qualifies
+        too: one that is the lone outstanding demand miss (otherwise it
+        is a secondary miss).
+
+        On entry the core checkpoints at the load, which takes its
+        memory port as the first runahead instruction (discarded later):
+        its destination is poisoned.
         """
         level = result.level
-        if level == MEMORY:
-            return True
-        if (level == PENDING and result.mshr is not None
-                and result.mshr.is_l2):
-            threshold = 2 * self._l2_hit_latency
-            if result.ready_cycle - self.cycle > threshold:
-                return True
-        if self.advance_on in ("l2_d1", "all") and level in (L2, PENDING):
-            # Primary D$ miss: qualify only if it is the lone outstanding
-            # demand miss (otherwise it is a secondary miss).
-            return self.hierarchy.outstanding_demand_misses(self.cycle) <= 1
-        return False
-
-    def _enter_runahead(self, dyn: DynInst, result: MemResult) -> None:
-        """Checkpoint at the load and run ahead.  The load is the first
-        runahead instruction (discarded later): its destination is
-        poisoned."""
+        if not (level == MEMORY
+                or (level == PENDING and result.mshr is not None
+                    and result.mshr.is_l2
+                    and (result.ready_cycle - self.cycle
+                         > 2 * self._l2_hit_latency))
+                or (self.advance_on in ("l2_d1", "all")
+                    and level in (L2, PENDING)
+                    and self.hierarchy.outstanding_demand_misses(
+                        self.cycle) <= 1)):
+            return False
+        self.ports.mem_free -= 1
         self.mode = RUNAHEAD
         self._trigger_ready = result.ready_cycle
         self._ckpt_cursor = dyn.index
@@ -148,14 +147,12 @@ class RunaheadCore(CoreModel):
         stats.advance_instructions += 1
         if self._phase_of is not None:
             self._phase_advance(dyn.index)
+        return True
 
     def _exit_runahead(self) -> None:
         """The triggering miss returned: discard everything and replay."""
         self.mode = NORMAL
-        self.cursor = self.fetch_head = self._ckpt_cursor
-        self.fetch_blocked = False
-        self.fetch_resume_cycle = self.cycle + 1
-        self._last_fetch_line = -1
+        self._restart_fetch(self._ckpt_cursor)
         self.reg_ready = self._ckpt_reg_ready or [self.cycle] * len(self.reg_ready)
         self._ckpt_reg_ready = None
         self._shadow_poison = set()
@@ -201,11 +198,11 @@ class RunaheadCore(CoreModel):
             results = self._results
             while head < end and decode_ready[head] <= cycle:
                 status = (self._issue_reused(head) if head in results
-                          else self._try_issue_normal(head))
+                          else self.try_issue(head))
                 if status is STALLED:
                     break
                 head += 1
-                if status is RUNAHEAD:
+                if status is ENTERED:
                     break
             if self.mode == NORMAL:
                 self.fetch_head = head
@@ -363,9 +360,7 @@ class RunaheadCore(CoreModel):
                         # A resolved wrong path redirects fetch; a
                         # poisoned one stays blocked until the period
                         # ends.
-                        self.fetch_blocked = False
-                        self.fetch_resume_cycle = completion
-                        self._last_fetch_line = -1
+                        self._redirect_fetch(completion)
                 head += 1
             self.fetch_head = head
             progress = head != start
@@ -406,77 +401,6 @@ class RunaheadCore(CoreModel):
     # ==================================================================
     # issue
     # ==================================================================
-    def _try_issue_normal(self, idx: int) -> str:
-        """Issue the head under in-order rules: ``ISSUED``, ``STALLED``,
-        or ``RUNAHEAD`` when it is a load that starts a runahead period
-        (it issued, as the period's first instruction)."""
-        dyn = self._insts[idx]
-        cycle = self.cycle
-        ports = self.ports
-        port_int = self._port_int[idx]
-        if port_int:
-            if ports.int_free <= 0:
-                self.stats.stalls.port += 1
-                return STALLED
-        elif ports.mem_free <= 0:
-            self.stats.stalls.port += 1
-            return STALLED
-        reg_ready = self.reg_ready
-        nsrc = self._nsrc[idx]
-        if nsrc:
-            if reg_ready[self._src0[idx]] > cycle:
-                self.stats.stalls.src_wait += 1
-                return STALLED
-            if nsrc > 1:
-                if reg_ready[self._src1[idx]] > cycle:
-                    self.stats.stalls.src_wait += 1
-                    return STALLED
-                if nsrc > 2:
-                    for src in self._srcs[idx][2:]:
-                        if reg_ready[src] > cycle:
-                            self.stats.stalls.src_wait += 1
-                            return STALLED
-        dst = self._dst[idx]
-        if dst is not None and dst != ZERO_REG and reg_ready[dst] > cycle:
-            self.stats.stalls.waw_wait += 1
-            return STALLED
-        kind = self._kind[idx]
-        if kind == KIND_LOAD:
-            hit = self.store_queue.forward(dyn.addr)
-            if hit is not None:
-                self.stats.store_forward_hits += 1
-                completion = cycle + self._l1d_hit_latency
-            elif (ready := self.hierarchy.data_hit_cycle(dyn.addr,
-                                                         cycle)) is not None:
-                # L1 hit: record_miss is a no-op and an L1 hit never
-                # qualifies a runahead entry, so skip both.
-                completion = ready
-            else:
-                result = self.hierarchy.data_access(dyn.addr, cycle)
-                if result.stalled:
-                    self.stats.stalls.mshr_full += 1
-                    return STALLED
-                self.record_miss(result, dyn.index)
-                if self._qualifies_entry(result):
-                    ports.mem_free -= 1
-                    self._enter_runahead(dyn, result)
-                    return RUNAHEAD
-                completion = result.ready_cycle
-        elif kind == KIND_STORE:
-            if self.store_queue.full:
-                self.stats.stalls.store_buffer_full += 1
-                return STALLED
-            self.store_queue.push(dyn.addr, dyn.store_val)
-            completion = cycle + 1
-        else:
-            completion = cycle + self._exec_done[idx]
-        if port_int:
-            ports.int_free -= 1
-        else:
-            ports.mem_free -= 1
-        self.commit(dyn, completion)
-        return ISSUED
-
     def _runahead_load(self, dyn: DynInst):
         """A load under runahead rules: ``(completion, poisoned)``, or
         ``None`` when the MSHRs are full (the stall is counted)."""
@@ -543,9 +467,7 @@ class RunaheadCore(CoreModel):
             if dyn.is_control:
                 self.predictor.update(dyn)
                 if not self._predicted_ok[idx]:
-                    self.fetch_blocked = False
-                    self.fetch_resume_cycle = completion
-                    self._last_fetch_line = -1
+                    self._redirect_fetch(completion)
         else:
             # Architectural pass: the instruction commits with its saved
             # result; stores still enter the store queue for real.

@@ -23,15 +23,12 @@ the shared advance/rally engine:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..core.icfp import ADVANCE, ICFPCore, ICFPFeatures
 from ..engine.base import ISSUED
 from ..functional.trace import DynInst
-from ..isa.instructions import OpClass
 
 
-def sltp_features(advance_on: str = "l2", validate: bool = False) -> ICFPFeatures:
+def sltp_features(advance_on: str = "l2") -> ICFPFeatures:
     """The SLTP point in the engine's feature space."""
     return ICFPFeatures(
         store_buffer_kind="assoc",   # idealised dependence pred. + load queue
@@ -39,7 +36,6 @@ def sltp_features(advance_on: str = "l2", validate: bool = False) -> ICFPFeature
         mt_rally=False,
         poison_bits=1,
         advance_on=advance_on,
-        validate=validate,
     )
 
 
@@ -48,14 +44,10 @@ class SLTPCore(ICFPCore):
 
     name = "sltp"
 
-    def __init__(self, trace, config=None, hierarchy=None, predictor=None,
-                 features: ICFPFeatures | None = None,
-                 advance_on: str = "l2", **kwargs) -> None:
-        feats = features if features is not None else sltp_features(advance_on)
-        feats = replace(feats, nonblocking_rally=False, mt_rally=False,
-                        poison_bits=1)
-        super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, features=feats, **kwargs)
+    def __init__(self, trace, config=None, advance_on: str = "l2",
+                 **kwargs) -> None:
+        super().__init__(trace, config=config,
+                         features=sltp_features(advance_on), **kwargs)
         #: L1 lines written speculatively during the current episode.
         self._spec_lines: set[int] = set()
         self._flushed_this_episode = False

@@ -43,6 +43,10 @@ NORMAL = "normal"
 ADVANCE = "advance"
 SIMPLE_RA = "simple_ra"
 
+#: Each mode's issue path, by method name (see :meth:`ICFPCore._set_mode`).
+_MODE_ISSUE = {NORMAL: "_try_issue_normal", ADVANCE: "_try_issue_advance",
+               SIMPLE_RA: "_try_issue_simple_ra"}
+
 #: Forward-progress bound on chained re-advance: a rallied load may
 #: re-defer on a fresh qualifying miss at most this many times before
 #: the rally blocks on its fill and merges it.  Deep enough that real
@@ -93,21 +97,14 @@ class ICFPCore(CoreModel):
 
     name = "icfp"
 
-    def __init__(self, trace, config=None, hierarchy=None, predictor=None,
+    def __init__(self, trace, config=None,
                  features: ICFPFeatures | None = None,
                  leap=None) -> None:
-        super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, leap=leap)
+        super().__init__(trace, config=config, leap=leap)
         self.features = features if features is not None else ICFPFeatures()
         f = self.features
         self._mt_rally = f.mt_rally
-        self.mode = NORMAL
-        #: Mode issue path (swapped on every mode transition) — saves
-        #: the mode dispatch per issue attempt on the hot path.  It holds
-        #: the class function, called as ``self._mode_issue(self, idx)``:
-        #: a bound method here would make every core a reference cycle,
-        #: alive until the cycle collector runs.
-        self._mode_issue = type(self)._try_issue_normal
+        self._set_mode(NORMAL)
         self.main_rf = MainRegFile()
         self.slice = SliceBuffer(f.slice_entries)
         self.slice_by_seq: dict[int, SliceEntry] = {}
@@ -247,13 +244,21 @@ class ICFPCore(CoreModel):
         return mask
 
     def done(self) -> bool:
-        return (
-            self.mode == NORMAL
-            and self.cursor >= self._trace_len
-            and self.fetch_head == self.cursor
-            and self.sb.empty
-            and self.cycle >= self.last_completion
-        )
+        # The chained store buffer stands in for the store queue (always
+        # empty here), and the run ends only once it has drained.
+        return self.mode == NORMAL and self.sb.empty and super().done()
+
+    def _set_mode(self, mode: str) -> None:
+        """Switch mode and its issue path together.
+
+        The path (``_mode_issue``) saves the mode dispatch per issue
+        attempt on the hot path.  It holds the class function, called
+        as ``self._mode_issue(self, idx)``: a bound method here would
+        make every core a reference cycle, alive until the cycle
+        collector runs.
+        """
+        self.mode = mode
+        self._mode_issue = getattr(type(self), _MODE_ISSUE[mode])
 
     def next_event_cycle(self) -> int | None:
         """Horizon: rally waits, blocked rallies, the gated SB drain, and
@@ -405,11 +410,7 @@ class ICFPCore(CoreModel):
             self.ports.mem_free -= 1
         self.commit(dyn, completion)
         if dyn.dst is not None:
-            if self.mode == NORMAL:
-                self.main_rf.write_normal(dyn.dst, dyn.result)
-            else:
-                self.main_rf.write_advance(dyn.dst, dyn.result,
-                                           self._take_seq(), 0)
+            self.main_rf.write_normal(dyn.dst, dyn.result)
 
     # ------------------------------------------------------------------
     # advance mode
@@ -622,9 +623,7 @@ class ICFPCore(CoreModel):
             if ready > self.cycle:
                 return False  # blocking rally: idle until the miss returns
             self._rally_block = None
-            self._merge_rally_result(slice_entry, ready)
-            self._pass_cursor += 1
-            return True
+            return self._merge_rally_result(slice_entry, ready)
         if self._rally_wait_until > self.cycle:
             return False  # waiting on an in-slice FU dependence
         while self._pass_cursor < len(self._pass_entries):
@@ -657,12 +656,7 @@ class ICFPCore(CoreModel):
                 del slice_entry.producer_seq[src]
                 value_ready = max(value_ready, producer_entry.done_cycle)
         if pending:
-            slice_entry.poison = pending
-            self.stats.rally_instructions += 1
-            if self._phase_of is not None:
-                self._phase_rally(dyn.index)
-            self._pass_cursor += 1
-            return True
+            return self._requeue_rally(slice_entry, pending)
         if value_ready > self.cycle:
             self._rally_wait_until = value_ready
             return False
@@ -673,51 +667,35 @@ class ICFPCore(CoreModel):
             return self._rally_load(slice_entry)
         if dyn.is_store:
             self.sb.update_store(slice_entry.ssn, dyn.store_val, 0)
-            self._merge_rally_result(slice_entry, self.cycle + 1)
-            self._pass_cursor += 1
-            return True
+            return self._merge_rally_result(slice_entry, self.cycle + 1)
         if dyn.is_control and not slice_entry.predicted_ok:
             # A mispredicted poisoned branch: everything younger than the
             # checkpoint is wrong-path state.  Squash and restart.
             self._squash_to_checkpoint()
             return True
-        completion = self.cycle + self._exec_done[dyn.index]
-        self._merge_rally_result(slice_entry, completion)
-        self._pass_cursor += 1
-        return True
+        return self._merge_rally_result(
+            slice_entry, self.cycle + self._exec_done[dyn.index])
 
     def _rally_load(self, slice_entry: SliceEntry) -> bool:
         dyn = slice_entry.dyn
         fwd = self.sb.forward(dyn.addr, before_ssn=slice_entry.ssn_limit)
         if isinstance(fwd, IndexedStall):
             # Treat like a pending input: revisit next pass.
-            self.stats.rally_instructions += 1
-            if self._phase_of is not None:
-                self._phase_rally(dyn.index)
-            self._pass_cursor += 1
-            return True
+            return self._requeue_rally(slice_entry, slice_entry.poison)
         if isinstance(fwd, ForwardResult):
             if fwd.poison:
-                slice_entry.poison = fwd.poison
-                self.stats.rally_instructions += 1
-                if self._phase_of is not None:
-                    self._phase_rally(dyn.index)
-                self._pass_cursor += 1
-                return True
+                return self._requeue_rally(slice_entry, fwd.poison)
             self.stats.store_forward_hits += 1
             self.stats.store_forward_hops += fwd.excess_hops
             self._check_forward(fwd, dyn)
-            self._merge_rally_result(slice_entry, self.cycle
-                                     + self._l1d_hit_latency + fwd.excess_hops)
-            self._pass_cursor += 1
-            return True
+            return self._merge_rally_result(
+                slice_entry,
+                self.cycle + self._l1d_hit_latency + fwd.excess_hops)
         ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
         if ready is not None:
             # L1 hit: never advance-qualifying, merges immediately.
             self.signature.insert(dyn.addr)
-            self._merge_rally_result(slice_entry, ready)
-            self._pass_cursor += 1
-            return True
+            return self._merge_rally_result(slice_entry, ready)
         result = self.hierarchy.data_access(dyn.addr, self.cycle)
         if result.stalled:
             self._rally_wait_until = self.cycle + 1
@@ -735,21 +713,29 @@ class ICFPCore(CoreModel):
             if (self.features.nonblocking_rally
                     and slice_entry.redefers < _MAX_RALLY_REDEFERS):
                 slice_entry.redefers += 1
-                mask = self.poison_alloc.bit_for(result.mshr)
-                slice_entry.poison = mask
-                self.stats.rally_instructions += 1
-                if self._phase_of is not None:
-                    self._phase_rally(dyn.index)
-                self._pass_cursor += 1
-                return True
+                return self._requeue_rally(
+                    slice_entry, self.poison_alloc.bit_for(result.mshr))
             self._rally_block = (slice_entry, result.ready_cycle)
             return False
         self.signature.insert(dyn.addr)
-        self._merge_rally_result(slice_entry, result.ready_cycle)
+        return self._merge_rally_result(slice_entry, result.ready_cycle)
+
+    def _requeue_rally(self, slice_entry: SliceEntry, poison: int) -> bool:
+        """Leave a slice entry for a later pass, waiting on the misses in
+        ``poison``: it counts as a rally instruction and the pass moves
+        on (returns True, the rally's real work this cycle)."""
+        slice_entry.poison = poison
+        self.stats.rally_instructions += 1
+        if self._phase_of is not None:
+            self._phase_rally(slice_entry.dyn.index)
         self._pass_cursor += 1
         return True
 
-    def _merge_rally_result(self, slice_entry: SliceEntry, completion: int) -> None:
+    def _merge_rally_result(self, slice_entry: SliceEntry,
+                            completion: int) -> bool:
+        """Merge a re-executed slice entry into main state (it completes
+        at ``completion``) and move the pass on (returns True, the
+        rally's real work this cycle)."""
         dyn = slice_entry.dyn
         self.slice.deactivate(slice_entry)
         slice_entry.result_value = dyn.result
@@ -774,6 +760,8 @@ class ICFPCore(CoreModel):
             self._phase_commit(dyn)
         if completion > self.last_completion:
             self.last_completion = completion
+        self._pass_cursor += 1
+        return True
 
     def _end_rally_pass(self) -> None:
         self.rally_active = False
@@ -820,8 +808,7 @@ class ICFPCore(CoreModel):
                 for p in self._phase_stats
             ),
         )
-        self.mode = ADVANCE
-        self._mode_issue = type(self)._try_issue_advance
+        self._set_mode(ADVANCE)
         self.next_seq = 0
         self.stats.advance_entries += 1
 
@@ -836,16 +823,14 @@ class ICFPCore(CoreModel):
         self.main_rf.poison = [0] * NUM_REGS
         self.main_rf.release()
         self.checkpoint = None
-        self.mode = NORMAL
-        self._mode_issue = type(self)._try_issue_normal
+        self._set_mode(NORMAL)
         self.signature.clear()
         self.pending_rally_mask = 0
 
     def _enter_simple_ra(self, dyn_index: int, reason: str) -> None:
         if self.mode == SIMPLE_RA:
             return
-        self.mode = SIMPLE_RA
-        self._mode_issue = type(self)._try_issue_simple_ra
+        self._set_mode(SIMPLE_RA)
         self.simple_ra_start = dyn_index
         self.fallback_reason = reason
         self._shadow_poison = set()
@@ -872,13 +857,9 @@ class ICFPCore(CoreModel):
             resume = self._rallied_since_fallback
         if not resume:
             return
-        self.mode = ADVANCE
-        self._mode_issue = type(self)._try_issue_advance
+        self._set_mode(ADVANCE)
         self.fallback_reason = None
-        self.cursor = self.fetch_head = self.simple_ra_start
-        self.fetch_blocked = False
-        self.fetch_resume_cycle = self.cycle + 1
-        self._last_fetch_line = -1
+        self._restart_fetch(self.simple_ra_start)
         self._shadow_poison = set()
         self._shadow_stores = {}
         self._maybe_exit_advance()
@@ -890,12 +871,8 @@ class ICFPCore(CoreModel):
         self.slice.flush()
         self.slice_by_seq.clear()
         self.sb.squash_to(ckpt.ssn)
-        self.cursor = self.fetch_head = ckpt.cursor
-        self.fetch_blocked = False
-        self.fetch_resume_cycle = self.cycle + 1
-        self._last_fetch_line = -1
-        self.mode = NORMAL
-        self._mode_issue = type(self)._try_issue_normal
+        self._restart_fetch(ckpt.cursor)
+        self._set_mode(NORMAL)
         self.checkpoint = None
         self.signature.clear()
         self.rally_active = False
@@ -1006,9 +983,7 @@ class ICFPCore(CoreModel):
         if dyn.is_control:
             self.predictor.update(dyn)
             if not self._predicted_ok[idx] and not poisoned:
-                self.fetch_blocked = False
-                self.fetch_resume_cycle = completion
-                self._last_fetch_line = -1
+                self._redirect_fetch(completion)
             # A poisoned mispredicted control leaves fetch blocked: the
             # shadow path cannot recover it, so fetch idles until the
             # fallback resolves and execution rewinds.

@@ -42,10 +42,6 @@ class MainRegFile:
     # ------------------------------------------------------------------
     # checkpoint management (single checkpoint, create/restore only)
     # ------------------------------------------------------------------
-    @property
-    def has_checkpoint(self) -> bool:
-        return self._checkpoint is not None
-
     def checkpoint(self) -> None:
         """Snapshot values (shadow bitcells); resets seq/poison tracking."""
         if self._checkpoint is not None:
@@ -69,13 +65,6 @@ class MainRegFile:
             raise RuntimeError("no checkpoint to release")
         self._checkpoint = None
         self.last_writer = [NO_WRITER] * NUM_REGS
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def read(self, reg: int):
-        """(value, poison_mask) of ``reg``."""
-        return self.values[reg], self.poison[reg]
 
     def any_poisoned(self) -> bool:
         return any(self.poison)

@@ -111,12 +111,6 @@ class SliceBuffer:
         """All entries, oldest first (rally passes scan this)."""
         return self._entries
 
-    def active_entries(self, mask: int | None = None):
-        """Active entries, optionally filtered to a rally's poison mask."""
-        if mask is None:
-            return [e for e in self._entries if e.active]
-        return [e for e in self._entries if e.active and (e.poison & mask)]
-
     def pending_poison(self) -> int:
         """Union of poison bits over active entries."""
         mask = 0

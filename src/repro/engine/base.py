@@ -2,9 +2,14 @@
 
 :class:`CoreModel` is the substrate every machine model (in-order,
 Runahead, Multipass, SLTP, iCFP) subclasses: state, fetch, the
-in-order issue rules, commit, and the event-horizon leap.  Each model
-family owns exactly one per-cycle body, its ``step_cycle``, which does
-four things in one frame::
+in-order issue rule, commit, the fetch restart and mispredict redirect,
+and the event-horizon leap.  The issue rule, :meth:`CoreModel.try_issue`,
+is the normal-mode rule of in-order, Runahead and Multipass; its
+data-miss arm asks one hook, :meth:`CoreModel._try_enter`, to start a
+runahead period if the miss qualifies.  iCFP and SLTP keep their own
+normal-mode rule: their chained store buffer replaces the store queue.
+Each model family owns exactly one per-cycle body, its ``step_cycle``,
+which does four things in one frame::
 
     1. miss returns and mode transitions
     2. in-order issue of up to ``width`` instructions
@@ -70,9 +75,12 @@ from ..pipeline.stats import CoreStats, PhaseStats
 from ..pipeline.store_queue import StoreQueue
 from .result import SimResult
 
-#: try_issue outcomes.
+#: try_issue outcomes.  ``ENTERED``: the head is a load whose miss
+#: started a runahead period (:meth:`CoreModel._try_enter`); it issued
+#: as the period's first instruction.
 ISSUED = "issued"
 STALLED = "stalled"
+ENTERED = "entered"
 
 
 class SimulationDiverged(RuntimeError):
@@ -107,18 +115,13 @@ class CoreModel:
         self,
         trace: Trace,
         config: MachineConfig | None = None,
-        hierarchy: MemoryHierarchy | None = None,
-        predictor: BranchPredictor | None = None,
         leap: bool | None = None,
     ) -> None:
         self.trace = trace
         self.config = cfg = (config if config is not None
                              else MachineConfig.hpca09())
-        self.hierarchy = (
-            hierarchy if hierarchy is not None
-            else MemoryHierarchy(cfg.hierarchy)
-        )
-        self.predictor = predictor if predictor is not None else BranchPredictor()
+        self.hierarchy = MemoryHierarchy(cfg.hierarchy)
+        self.predictor = BranchPredictor()
         self.stats = CoreStats()
 
         self.cycle = 0
@@ -208,11 +211,9 @@ class CoreModel:
                            if _obs_trace.TRACER is not None else None)
 
         if cfg.warm_icache or cfg.warm_dcache:
-            # Snapshot reuse is only sound when the hierarchy started
-            # empty, i.e. we built it ourselves just above.
-            self._warm_hierarchy(reusable=hierarchy is None)
+            self._warm_hierarchy()
 
-    def _warm_hierarchy(self, reusable: bool) -> None:
+    def _warm_hierarchy(self) -> None:
         """Warm the caches, reusing a prior snapshot where possible.
 
         Warm-up is pure construction-time work that depends only on the
@@ -226,12 +227,6 @@ class CoreModel:
         """
         cfg = self.config
         hier = self.hierarchy
-        if not reusable:
-            if cfg.warm_icache:
-                self._warm_icache()
-            if cfg.warm_dcache:
-                self._warm_dcache()
-            return
         key = warm_geometry_key(cfg)
         snapshots = self.trace.warm_snapshots
         snap = snapshots.get(key)
@@ -427,8 +422,13 @@ class CoreModel:
     # issue + execute
     # ==================================================================
     def try_issue(self, idx: int) -> str:
-        """Attempt to issue the head instruction (dynamic index ``idx``)
-        this cycle."""
+        """Issue the head (dynamic index ``idx``) under in-order rules:
+        ``ISSUED``, ``STALLED``, or ``ENTERED`` when it is a load whose
+        miss starts a runahead period.
+
+        The normal-mode rule of in-order, Runahead and Multipass; iCFP
+        and SLTP keep their own (their chained store buffer replaces
+        the store queue)."""
         dyn = self._insts[idx]
         cycle = self.cycle
         ports = self.ports
@@ -461,13 +461,31 @@ class CoreModel:
             return STALLED
         kind = self._kind[idx]
         if kind == KIND_LOAD:
-            completion = self.execute_load(dyn)
-            if completion is None:
-                return STALLED
+            hit = self.store_queue.forward(dyn.addr)
+            if hit is not None:
+                self.stats.store_forward_hits += 1
+                completion = cycle + self._l1d_hit_latency
+            elif (ready := self.hierarchy.data_hit_cycle(dyn.addr,
+                                                         cycle)) is not None:
+                # L1 hits dominate most traces; the fast probe skips the
+                # full data_access arm walk.  record_miss is a no-op for
+                # an L1 hit, and an L1 hit never starts a period.
+                completion = ready
+            else:
+                result = self.hierarchy.data_access(dyn.addr, cycle)
+                if result.stalled:
+                    self.stats.stalls.mshr_full += 1
+                    return STALLED
+                self.record_miss(result, idx)
+                if self._try_enter(dyn, result):
+                    return ENTERED
+                completion = result.ready_cycle
         elif kind == KIND_STORE:
-            completion = self.execute_store(dyn)
-            if completion is None:
+            if self.store_queue.full:
+                self.stats.stalls.store_buffer_full += 1
                 return STALLED
+            self.store_queue.push(dyn.addr, dyn.store_val)
+            completion = cycle + 1
         else:
             completion = cycle + self._exec_done[idx]
         if port_int:
@@ -477,29 +495,12 @@ class CoreModel:
         self.commit(dyn, completion)
         return ISSUED
 
-    def execute_load(self, dyn: DynInst) -> int | None:
-        hit = self.store_queue.forward(dyn.addr)
-        if hit is not None:
-            self.stats.store_forward_hits += 1
-            return self.cycle + self._l1d_hit_latency
-        # L1 hits dominate most traces; the fast probe skips the full
-        # data_access arm walk (record_miss is a no-op for L1 hits).
-        ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
-        if ready is not None:
-            return ready
-        result = self.hierarchy.data_access(dyn.addr, self.cycle)
-        if result.stalled:
-            self.stats.stalls.mshr_full += 1
-            return None
-        self.record_miss(result, dyn.index)
-        return result.ready_cycle
-
-    def execute_store(self, dyn: DynInst) -> int | None:
-        if self.store_queue.full:
-            self.stats.stalls.store_buffer_full += 1
-            return None
-        self.store_queue.push(dyn.addr, dyn.store_val)
-        return self.cycle + 1
+    def _try_enter(self, dyn: DynInst, result: MemResult) -> bool:
+        """Start a runahead period if this data miss qualifies, issuing
+        the load as its first instruction.  Never on the plain in-order
+        core; :class:`~repro.baselines.runahead.RunaheadCore` overrides
+        it."""
+        return False
 
     def commit(self, dyn: DynInst, completion: int) -> None:
         """Book-keeping for a successfully issued instruction."""
@@ -524,11 +525,22 @@ class CoreModel:
     def resolve_control(self, dyn: DynInst, completion: int) -> None:
         self.predictor.update(dyn)
         if not self._predicted_ok[dyn.index]:
-            # Redirect the front end at resolve; refill penalty follows
-            # from the decode_ready computed at the new fetch time.
-            self.fetch_blocked = False
-            self.fetch_resume_cycle = completion
-            self._last_fetch_line = -1
+            self._redirect_fetch(completion)
+
+    def _redirect_fetch(self, completion: int) -> None:
+        """A mispredicted branch resolves at ``completion``: fetch
+        resumes on the right path then.  The refill penalty follows from
+        the decode_ready computed at the new fetch time."""
+        self.fetch_blocked = False
+        self.fetch_resume_cycle = completion
+        self._last_fetch_line = -1
+
+    def _restart_fetch(self, index: int) -> None:
+        """Flush the fetch window and refetch from dynamic index
+        ``index`` on the next cycle (a runahead exit, an iCFP squash or
+        fallback rewind).  A flush resets both ends of the window."""
+        self.cursor = self.fetch_head = index
+        self._redirect_fetch(self.cycle + 1)
 
     def record_miss(self, result: MemResult, index: int = -1) -> None:
         """Fold one hierarchy access into miss/MLP statistics.

@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields
 
 #: Fault kinds an injector counts (parent-side observability; worker
 #: deaths increment inside the worker that dies, so count them from the
-#: parent via :meth:`FaultPlan.would_fail` instead).
+#: parent via :meth:`FaultPlan.roll` instead).
 FAULT_KINDS = ("worker_death", "slow", "store_truncate", "store_corrupt")
 
 
@@ -66,9 +66,6 @@ class FaultPlan:
     store_truncate: float = 0.0
     store_corrupt: float = 0.0
 
-    def any_faults(self) -> bool:
-        return any(getattr(self, kind) > 0 for kind in FAULT_KINDS)
-
     def roll(self, kind: str, key, ordinal: int) -> bool:
         """Deterministic Bernoulli trial: same inputs, same verdict."""
         rate = getattr(self, kind)
@@ -79,14 +76,6 @@ class FaultPlan:
         digest = hashlib.sha256(
             f"{self.seed}|{kind}|{key}|{ordinal}".encode()).digest()
         return int.from_bytes(digest[:8], "big") < rate * 2.0 ** 64
-
-    def would_fail(self, kind: str, key, ordinal: int = 1) -> bool:
-        """Parent-side oracle: would attempt ``ordinal`` inject ``kind``?
-
-        Lets tests and reports reason about worker-side faults (whose
-        counters die with the worker) without re-running anything.
-        """
-        return self.roll(kind, key, ordinal)
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":

@@ -72,14 +72,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def label_pc(self, label: str) -> int:
-        """Byte PC of ``label``."""
-        return pc_of(self.labels[label])
-
-    def at_pc(self, pc: int) -> Instruction:
-        """Instruction at byte PC ``pc``."""
-        return self.instructions[index_of(pc)]
-
     def listing(self) -> str:
         """Disassembly listing with PCs and labels (debugging aid)."""
         by_index: dict[int, list[str]] = {}

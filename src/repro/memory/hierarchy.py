@@ -86,10 +86,6 @@ class MemResult:
     def stalled(self) -> bool:
         return self.level == STALL
 
-    @property
-    def hit(self) -> bool:
-        return self.level == L1
-
 
 class MemoryHierarchy:
     """L1I + L1D + unified L2 + stream buffers + DRAM."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..memory.hierarchy import HierarchyConfig
 
@@ -48,11 +48,3 @@ class MachineConfig:
                 l2_hit_latency=l2_hit_latency, stream_buffers=stream_buffers
             )
         )
-
-    def with_l2_latency(self, l2_hit_latency: int) -> "MachineConfig":
-        """A copy of this config with a different L2 hit latency."""
-        hier = replace(
-            self.hierarchy,
-            l2=replace(self.hierarchy.l2, hit_latency=l2_hit_latency),
-        )
-        return replace(self, hierarchy=hier)

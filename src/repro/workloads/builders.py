@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..isa.assembler import Assembler
-from ..isa.program import WORD_BYTES, Program
+from ..isa.program import Program
 
 #: Data segment base: far above the code, word aligned.
 DATA_BASE = 0x10_0000
@@ -125,10 +125,6 @@ def emit_compute(a: Assembler, params: KernelParams, acc, tmp, n=None) -> None:
                 a.mul(acc, acc, tmp)
             else:
                 a.add(acc, acc, tmp)
-
-
-def footprint_words(params: KernelParams) -> int:
-    return max(8, params.footprint_bytes // WORD_BYTES)
 
 
 def make_kernel(name: str, archetype: str, build, params: KernelParams,

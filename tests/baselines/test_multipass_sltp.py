@@ -211,13 +211,3 @@ def test_sltp_blocking_rally_delays_tail_misses():
     assert not icfp.validate_final_state()
     # iCFP overlaps G with E; SLTP serialises them behind the rally.
     assert icfp_result.cycles < sltp_result.cycles - 100
-
-
-def test_sltp_features_are_pinned():
-    """Whatever feature set is passed, SLTP pins its defining limits."""
-    core = SLTPCore(run_program(assemble_text("halt")),
-                    features=ICFPFeatures(nonblocking_rally=True,
-                                          mt_rally=True, poison_bits=8))
-    assert core.features.nonblocking_rally is False
-    assert core.features.mt_rally is False
-    assert core.features.poison_bits == 1

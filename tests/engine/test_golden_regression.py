@@ -11,7 +11,11 @@ predates the leap scheduler, so they also guard the original timing
 semantics, not just self-consistency.  A second axis pins the same grid
 at five non-default front-end geometries (fetch-queue depth, issue
 width, front-end depth), so a fetch or issue change that is right only
-at Table 1's 12-entry queue, width 2 and depth 5 still shows.
+at Table 1's 12-entry queue, width 2 and depth 5 still shows.  A third
+pins every model variant that Figures 6-8 plot and the default cells do
+not cover (Runahead's advance triggers, iCFP's L2-only trigger, the
+Figure 7 ladder, the indexed and associative store buffers), so a
+change to a path that only a variant takes still shows.
 
 Regenerate (only when a PR *intends* a timing change, with the diff
 explained in the PR description)::
@@ -28,7 +32,9 @@ import os
 
 import pytest
 
+from repro.core.icfp import ICFPFeatures
 from repro.harness.experiment import ExperimentConfig, MODELS, run_model
+from repro.harness.figures import FIGURE6_CONFIGS, FIGURE7_BARS, FIGURE8_KINDS
 from repro.workloads.suite import build_kernel, trace_kernel
 
 #: Small but diverse grid: a pointer chaser (long dependent misses), a
@@ -45,6 +51,28 @@ GOLDEN_GEOMETRIES = {
     "w3-fq5": {"width": 3, "fetch_queue_depth": 5},
     "fe9": {"frontend_depth": 9},
 }
+
+
+def _variants() -> dict[str, tuple[str, ExperimentConfig]]:
+    """Figure 6-8 configurations that no default cell already covers:
+    ``{"figureN/<label>": (model, resolved ExperimentConfig)}``."""
+    entries = [(f"figure6/{label}", model, overrides)
+               for label, model, overrides in FIGURE6_CONFIGS]
+    entries += [(f"figure7/{label}", model, overrides)
+                for label, model, overrides in FIGURE7_BARS]
+    entries += [(f"figure8/{label}", "icfp",
+                 {"icfp_features": ICFPFeatures(store_buffer_kind=kind)})
+                for label, kind in FIGURE8_KINDS]
+    default = ExperimentConfig(instructions=GOLDEN_INSTRUCTIONS)
+    variants = {}
+    for name, model, overrides in entries:
+        config = dataclasses.replace(default, **overrides)
+        if config != default:
+            variants[name] = (model, config)
+    return variants
+
+
+GOLDEN_VARIANTS = _variants()
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "golden_stats.json")
 
@@ -105,8 +133,8 @@ def stats_digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def simulate_cell(model: str, kernel: str, geometry: str | None = None) -> dict:
-    result = run_model(model, golden_trace(kernel), golden_config(geometry))
+def simulate_cell(model: str, kernel: str, config: ExperimentConfig) -> dict:
+    result = run_model(model, golden_trace(kernel), config)
     payload = stats_to_dict(result.stats)
     return {"stats": payload, "digest": stats_digest(payload)}
 
@@ -116,17 +144,21 @@ def load_fixtures() -> dict:
         return json.load(handle)
 
 
-def check_cell(model: str, kernel: str, geometry: str | None = None) -> None:
+def check_cell(section: tuple[str, ...], model: str, kernel: str,
+               config: ExperimentConfig) -> None:
+    """Compare one cell against the fixture; ``section`` is the key path
+    to its grid (``("cells",)``, ``("geometry_cells", "fq1")``, ...)."""
     fixtures = load_fixtures()
     assert fixtures["instructions"] == GOLDEN_INSTRUCTIONS
-    cells = (fixtures["cells"] if geometry is None
-             else fixtures["geometry_cells"][geometry])
+    cells = fixtures
+    for key in section:
+        cells = cells[key]
     expected = cells[f"{kernel}/{model}"]
-    actual = simulate_cell(model, kernel, geometry)
+    actual = simulate_cell(model, kernel, config)
     # Compare the full dictionaries first: a mismatch then reports the
     # exact counter that moved, not just a digest difference.
     assert actual["stats"] == expected["stats"], (
-        f"{geometry or 'table1'}/{kernel}/{model}: stats diverged from "
+        f"{'/'.join(section)}/{kernel}/{model}: stats diverged from "
         f"golden fixture"
     )
     assert actual["digest"] == expected["digest"]
@@ -135,39 +167,51 @@ def check_cell(model: str, kernel: str, geometry: str | None = None) -> None:
 @pytest.mark.parametrize("kernel", GOLDEN_KERNELS)
 @pytest.mark.parametrize("model", MODELS)
 def test_model_matches_golden_fixture(model, kernel):
-    check_cell(model, kernel)
+    check_cell(("cells",), model, kernel, golden_config())
 
 
 @pytest.mark.parametrize("kernel", GOLDEN_KERNELS)
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("geometry", list(GOLDEN_GEOMETRIES))
 def test_geometry_matches_golden_fixture(geometry, model, kernel):
-    check_cell(model, kernel, geometry)
+    check_cell(("geometry_cells", geometry), model, kernel,
+               golden_config(geometry))
 
 
-def grid_cells(geometry: str | None = None) -> dict:
+@pytest.mark.parametrize("kernel", GOLDEN_KERNELS)
+@pytest.mark.parametrize("variant", list(GOLDEN_VARIANTS))
+def test_variant_matches_golden_fixture(variant, kernel):
+    model, config = GOLDEN_VARIANTS[variant]
+    check_cell(("variant_cells", variant), model, kernel, config)
+
+
+def grid_cells(config: ExperimentConfig, models=MODELS) -> dict:
     return {
-        f"{kernel}/{model}": simulate_cell(model, kernel, geometry)
+        f"{kernel}/{model}": simulate_cell(model, kernel, config)
         for kernel in GOLDEN_KERNELS
-        for model in MODELS
+        for model in models
     }
 
 
 def regenerate() -> None:
-    cells = grid_cells()
+    cells = grid_cells(golden_config())
     payload = {
         "instructions": GOLDEN_INSTRUCTIONS,
         "kernels": list(GOLDEN_KERNELS),
         "models": list(MODELS),
         "cells": cells,
         "geometries": GOLDEN_GEOMETRIES,
-        "geometry_cells": {geometry: grid_cells(geometry)
+        "geometry_cells": {geometry: grid_cells(golden_config(geometry))
                            for geometry in GOLDEN_GEOMETRIES},
+        "variant_cells": {variant: grid_cells(config, (model,))
+                          for variant, (model, config)
+                          in GOLDEN_VARIANTS.items()},
     }
     with open(FIXTURE_PATH, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    total = len(cells) * (1 + len(GOLDEN_GEOMETRIES))
+    total = (len(cells) * (1 + len(GOLDEN_GEOMETRIES))
+             + len(GOLDEN_KERNELS) * len(GOLDEN_VARIANTS))
     print(f"wrote {total} cells to {FIXTURE_PATH}")
 
 

@@ -28,7 +28,8 @@ def test_equal_configs_equal_fingerprints():
 def test_fingerprint_covers_machine_config():
     base = MachineConfig.hpca09()
     assert fingerprint(base) == fingerprint(MachineConfig.hpca09())
-    assert fingerprint(base) != fingerprint(base.with_l2_latency(37))
+    assert fingerprint(base) != fingerprint(
+        MachineConfig.hpca09(l2_hit_latency=37))
 
 
 def test_distinct_icfp_features_never_collide():

@@ -96,7 +96,7 @@ def test_pool_death_recovery_is_byte_identical():
     clean = _clean(jobs)
     report = CampaignReport()
     plan = FaultPlan(seed=5, worker_death=0.3)
-    assert any(plan.would_fail("worker_death", j.fingerprint) for j in jobs)
+    assert any(plan.roll("worker_death", j.fingerprint, 1) for j in jobs)
     with injected_faults(plan):
         faulty = run_jobs(jobs, workers=2, memo=False, store=False,
                           report=report)
@@ -130,9 +130,9 @@ def _one_slow_cell_plan(jobs):
     """
     for seed in range(10_000):
         plan = FaultPlan(seed=seed, slow=0.1, slow_seconds=2.0)
-        slow = [j for j in jobs if plan.would_fail("slow", j.fingerprint)]
+        slow = [j for j in jobs if plan.roll("slow", j.fingerprint, 1)]
         if len(slow) == 1 and not any(
-                plan.would_fail("slow", j.fingerprint, attempt)
+                plan.roll("slow", j.fingerprint, attempt)
                 for j in jobs if j is not slow[0] for attempt in (1, 2)):
             return plan, slow[0]
     raise AssertionError("no qualifying seed in range — widen the search")
@@ -167,9 +167,9 @@ def _casualty_plan(job_a, job_b):
     for seed in range(50_000):
         plan = FaultPlan(seed=seed, worker_death=0.5)
         a, b = job_a.fingerprint, job_b.fingerprint
-        if (plan.would_fail("worker_death", a, 1)
-                and not plan.would_fail("worker_death", a, 2)
-                and not any(plan.would_fail("worker_death", b, attempt)
+        if (plan.roll("worker_death", a, 1)
+                and not plan.roll("worker_death", a, 2)
+                and not any(plan.roll("worker_death", b, attempt)
                             for attempt in (1, 2))):
             return plan
     raise AssertionError("no qualifying seed in range — widen the search")
@@ -222,7 +222,7 @@ def _single_kind_plan(kind, jobs):
             fired = (plan.roll(kind, j.fingerprint + ".json", 0)
                      for j in jobs)
         else:
-            fired = (plan.would_fail(kind, j.fingerprint) for j in jobs)
+            fired = (plan.roll(kind, j.fingerprint, 1) for j in jobs)
         if any(fired):
             return plan
     raise AssertionError("no qualifying seed in range — widen the search")
@@ -272,7 +272,7 @@ def _acceptance_plan(jobs):
     need_deaths = max(1, math.ceil(0.1 * len(jobs)))
     for seed in range(200):
         plan = FaultPlan(seed=seed, worker_death=0.3, store_truncate=0.25)
-        deaths = sum(plan.would_fail("worker_death", j.fingerprint)
+        deaths = sum(plan.roll("worker_death", j.fingerprint, 1)
                      for j in jobs)
         truncs = sum(plan.roll("store_truncate", j.fingerprint + ".json", 0)
                      for j in jobs)

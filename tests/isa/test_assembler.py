@@ -25,7 +25,7 @@ def test_builder_simple_loop():
     prog = a.assemble()
     assert len(prog) == 6
     assert prog.labels["loop"] == 2
-    assert prog.label_pc("loop") == pc_of(2)
+    assert pc_of(prog.labels["loop"]) == pc_of(2)
     assert prog.instructions[2].op is Opcode.LD
     assert prog.instructions[4].target == "loop"
 

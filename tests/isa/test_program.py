@@ -12,14 +12,15 @@ def test_pc_index_round_trip():
     assert pc_of(0) == CODE_BASE
 
 
-def test_at_pc_and_label_pc():
+def test_label_pc_addresses_its_instruction():
     a = Assembler()
     a.nop()
     a.label("here")
     a.halt()
     prog = a.assemble()
-    assert prog.label_pc("here") == pc_of(1)
-    assert prog.at_pc(pc_of(1)).op.value == "halt"
+    pc = pc_of(prog.labels["here"])
+    assert pc == pc_of(1)
+    assert prog.instructions[index_of(pc)].op.value == "halt"
 
 
 def test_unaligned_data_rejected():

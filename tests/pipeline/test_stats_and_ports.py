@@ -1,5 +1,7 @@
 """Unit tests for statistics (MLP meter), ports, and config."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa.instructions import OpClass
@@ -117,9 +119,10 @@ def test_machine_config_table1_defaults():
     assert cfg.hierarchy.memory_latency == 400
 
 
-def test_with_l2_latency_round_trip():
+def test_l2_latency_moves_only_the_l2():
     cfg = MachineConfig.hpca09()
-    slow = cfg.with_l2_latency(44)
+    slow = MachineConfig.hpca09(l2_hit_latency=44)
     assert slow.hierarchy.l2.hit_latency == 44
-    assert cfg.hierarchy.l2.hit_latency == 20  # original untouched
+    assert cfg.hierarchy.l2.hit_latency == 20
     assert slow.hierarchy.l1d == cfg.hierarchy.l1d
+    assert dataclasses.replace(slow, hierarchy=cfg.hierarchy) == cfg

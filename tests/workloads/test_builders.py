@@ -6,7 +6,6 @@ from repro.workloads.builders import (
     DATA_BASE,
     KernelParams,
     emit_compute,
-    footprint_words,
     make_kernel,
     rng_for,
 )
@@ -18,11 +17,6 @@ def test_rng_is_deterministic_per_seed():
     assert rng_for(p).random() == rng_for(p).random()
     assert rng_for(p).random() != rng_for(KernelParams(seed=8)).random()
     assert rng_for(p, salt=1).random() != rng_for(p, salt=2).random()
-
-
-def test_footprint_words():
-    assert footprint_words(KernelParams(footprint_bytes=1024)) == 128
-    assert footprint_words(KernelParams(footprint_bytes=0)) == 8  # floor
 
 
 def test_emit_compute_counts():
