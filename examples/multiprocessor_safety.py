@@ -5,7 +5,11 @@ iCFP's checkpointed execution leaves cache-sourced loads vulnerable to
 stores from other cores.  This example drives an iCFP core cycle by
 cycle into advance mode, then injects external stores: one to an
 address a vulnerable load read (must squash to the checkpoint and
-re-execute) and one to an unrelated address (must not).
+re-execute) and one to an unrelated address (must not).  The stores
+are injected between ``step_cycle`` calls.  A call steps one cycle,
+except that one whose tail issue falls back to simple runahead runs the
+whole fallback, so a probe never lands mid-fallback; this program never
+falls back, so each call here steps one cycle.
 
 Run:  python examples/multiprocessor_safety.py
 """

@@ -19,6 +19,14 @@ State machine
                 value, then rewinds to the fallback point and resumes
                 full advance execution once the condition resolves.
 
+One ``step_cycle`` call steps one normal or advance cycle, or, when its
+tail issue falls back, runs the whole fallback: through the cycle that
+resumes advance mode (or exits it, if the episode is over) or squashes,
+each cycle doing what a call would (:meth:`ICFPCore._run_fallback`).
+So no call starts in ``simple_ra`` and a caller never sees the core in
+it: an external store (:meth:`ICFPCore.external_store`), probed between
+calls, finds the core in normal or advance mode.
+
 The :class:`ICFPFeatures` flags expose the Figure 7 "build" ladder
 (store-buffer discipline, blocking vs non-blocking rallies, poison
 width, multithreaded rally) and the Figure 6 advance triggers.
@@ -43,9 +51,9 @@ NORMAL = "normal"
 ADVANCE = "advance"
 SIMPLE_RA = "simple_ra"
 
-#: Each mode's issue path, by method name (see :meth:`ICFPCore._set_mode`).
-_MODE_ISSUE = {NORMAL: "_try_issue_normal", ADVANCE: "_try_issue_advance",
-               SIMPLE_RA: "_try_issue_simple_ra"}
+#: The issue path of each mode a ``step_cycle`` call starts in, by
+#: method name (see :meth:`ICFPCore._set_mode`).
+_MODE_ISSUE = {NORMAL: "_try_issue_normal", ADVANCE: "_try_issue_advance"}
 
 #: Forward-progress bound on chained re-advance: a rallied load may
 #: re-defer on a fresh qualifying miss at most this many times before
@@ -141,7 +149,9 @@ class ICFPCore(CoreModel):
         # the golden fixtures and the leap audit pin it.  iCFP replaces
         # the conventional store queue with the chained store buffer
         # (drained at the end of the cycle), so the conventional queue,
-        # always empty here, is never probed.
+        # always empty here, is never probed.  A normal or advance cycle
+        # is stepped here; once the tail issue falls back, _run_fallback
+        # runs the fallback in this same call, so no call starts in it.
         cycle = self.cycle + 1
         self.cycle = cycle
         mode_at_start = self.mode
@@ -163,15 +173,7 @@ class ICFPCore(CoreModel):
                     self.pending_rally_mask |= mask
             if not self.rally_active:
                 if self._stale_check_needed:
-                    # Entries captured *while* a pass was in flight can
-                    # carry a bit whose miss returned during that very
-                    # pass; that bit will never "return" again.  Re-queue
-                    # any active bits with no in-flight fill behind them
-                    # so the next pass sweeps them up.
-                    self._stale_check_needed = False
-                    stale = self.slice.pending_poison() & ~self._in_flight_bits()
-                    if stale:
-                        self.pending_rally_mask |= stale
+                    self._requeue_stale_bits()
                 if self.pending_rally_mask and self.slice._active:
                     self._start_rally_pass()
         # rally slot, then in-order tail issue through the mode's path
@@ -221,10 +223,15 @@ class ICFPCore(CoreModel):
                 before_ssn=checkpoint.ssn if checkpoint is not None else None):
             progress = True
         mode = self.mode
-        if mode == SIMPLE_RA:
-            self._maybe_resume_advance()
-        elif mode == ADVANCE:
+        if mode == ADVANCE:
             self._maybe_exit_advance()
+        elif mode == SIMPLE_RA:
+            # The tail issue just fell back; unless the fallback resolves
+            # at once, the rest of this call runs it.
+            self._maybe_resume_advance()
+            if self.mode == SIMPLE_RA:
+                self._run_fallback(cycle)
+                return
         if self.mode is not mode_at_start:
             # A mode transition on an otherwise idle cycle (advance
             # falling back to simple runahead on a full slice, the
@@ -235,6 +242,227 @@ class ICFPCore(CoreModel):
             progress = True
         if not progress:
             self._leap_to_horizon()
+
+    def _run_fallback(self, cycle: int) -> None:
+        """Run simple runahead from the cycle after ``cycle``, the one
+        whose tail issue fell back, through the cycle that leaves it: a
+        resume to advance (and on to normal, if the episode is over) or
+        a rally squash.
+
+        Each cycle does what a ``step_cycle`` call would in this mode:
+        the MSHR retire, folding returned poison bits into the pending
+        rally mask; the stale-bit re-queue and a due rally start; the
+        rally slot; in-order tail issue under the fallback rule (unless
+        a blocking rally holds the tail); the shared fetch; the drain
+        gated by the checkpoint; the resume check; the leap on a
+        no-progress cycle.  Only the rally slot and the drain move what
+        the resume check reads (slice occupancy, the rally state, a full
+        store buffer, a finished rally; a rally start only sets
+        ``rally_active``, which can only hold a resume off), so it runs on
+        cycles where one of them made progress; the cycle that fell back
+        ran it last.  ``self.cycle`` and ``fetch_head`` are kept current
+        for the helpers; the port counts are locals, read by the
+        fallback rule alone.  The safety limit is checked before each
+        further cycle, where :meth:`run` would check it.
+        """
+        hierarchy = self.hierarchy
+        ifetch_mshrs = hierarchy.ifetch_mshrs
+        data_mshrs = hierarchy.mshrs
+        int_capacity = self.ports.int_capacity
+        mem_capacity = self.ports.mem_capacity
+        insts = self._insts
+        kind_of = self._kind
+        nsrc_of = self._nsrc
+        src0_of = self._src0
+        src1_of = self._src1
+        exec_done = self._exec_done
+        port_int_of = self._port_int
+        decode_ready = self._decode_ready
+        predicted_ok = self._predicted_ok
+        width = self._width
+        fq_depth = self._fq_depth
+        trace_len = self._trace_len
+        max_cycles = self._max_cycles
+        l1d_hit_latency = self._l1d_hit_latency
+        mt_rally = self._mt_rally
+        stats = self.stats
+        stalls = stats.stalls
+        phase_of = self._phase_of
+        predictor = self.predictor
+        poison_alloc = self.poison_alloc
+        slice_buf = self.slice
+        sb = self.sb
+        committed_memory = self.committed_memory
+        # A resume or a squash replaces these, and the loop returns on
+        # either.
+        reg_ready = self.reg_ready
+        poison_of = self.main_rf.poison
+        shadow = self._shadow_poison
+        shadow_stores = self._shadow_stores
+        before_ssn = self.checkpoint.ssn
+        while True:
+            if cycle > max_cycles:
+                raise self._diverged()
+            cycle += 1
+            self.cycle = cycle
+            # miss returns (MSHR retire fast path inlined), rally start
+            if (ifetch_mshrs._next_ready is not None
+                    and cycle >= ifetch_mshrs._next_ready):
+                ifetch_mshrs.retire_complete(cycle)
+            if (data_mshrs._next_ready is not None
+                    and cycle >= data_mshrs._next_ready):
+                returned = data_mshrs.retire_complete(cycle)
+                if returned:
+                    mask = poison_alloc.mask_of_returned(returned)
+                    if mask:
+                        self.pending_rally_mask |= mask
+            rally_active = self.rally_active
+            if not rally_active:
+                if self._stale_check_needed:
+                    self._requeue_stale_bits()
+                if self.pending_rally_mask and slice_buf._active:
+                    self._start_rally_pass()
+                    rally_active = True
+            # rally slot (`moved`: it or the drain made progress)
+            moved = progress = False
+            slots = width
+            if rally_active:
+                if self._rally_step():
+                    slots -= 1
+                    moved = True
+                elif not self.rally_active:
+                    moved = True  # the pass ended
+                if self.mode is not SIMPLE_RA:
+                    # A squash: the window is empty and fetch restarts
+                    # next cycle, so the now ungated drain ends it.
+                    if sb.ssn_complete + 1 < sb.ssn_tail:
+                        sb.drain_step(hierarchy, cycle, committed_memory)
+                    return
+            # in-order tail issue under the fallback rule
+            head = start = self.fetch_head
+            cursor = self.cursor
+            if mt_rally or not rally_active:
+                end = head + slots
+                if end > cursor:
+                    end = cursor
+                int_free = int_capacity
+                mem_free = mem_capacity
+                while head < end and decode_ready[head] <= cycle:
+                    # Shadow-poisoned sources never wait: they poison,
+                    # as main-poisoned ones do once timing-ready.
+                    poisoned = False
+                    nsrc = nsrc_of[head]
+                    if nsrc:
+                        src = src0_of[head]
+                        if src in shadow:
+                            poisoned = True
+                        elif reg_ready[src] > cycle:
+                            stalls.src_wait += 1
+                            break
+                        elif poison_of[src]:
+                            poisoned = True
+                        if nsrc > 1:
+                            src = src1_of[head]
+                            if src in shadow:
+                                poisoned = True
+                            elif reg_ready[src] > cycle:
+                                stalls.src_wait += 1
+                                break
+                            elif poison_of[src]:
+                                poisoned = True
+                            if nsrc > 2:
+                                rest = self._srcs[head][2:]
+                                if any(reg_ready[src] > cycle for src in rest
+                                       if src not in shadow):
+                                    stalls.src_wait += 1
+                                    break
+                                if not poisoned:
+                                    poisoned = any(src in shadow
+                                                   or poison_of[src]
+                                                   for src in rest)
+                    dyn = insts[head]
+                    completion = cycle + 1
+                    if not poisoned:
+                        if port_int_of[head]:
+                            if int_free <= 0:
+                                stalls.port += 1
+                                break
+                            int_free -= 1
+                        else:
+                            if mem_free <= 0:
+                                stalls.port += 1
+                                break
+                            mem_free -= 1
+                        kind = kind_of[head]
+                        if kind == KIND_LOAD:
+                            addr = dyn.addr
+                            if addr in shadow_stores:
+                                completion = cycle + l1d_hit_latency
+                            elif (ready := hierarchy.data_hit_cycle(
+                                    addr, cycle)) is not None:
+                                completion = ready  # never advance-qualifying
+                            else:
+                                result = hierarchy.data_access(addr, cycle)
+                                if result.stalled:
+                                    break
+                                self.record_miss(result, head)
+                                if self._qualifies_for_advance(result):
+                                    poisoned = True  # a prefetch: poison it
+                                else:
+                                    completion = result.ready_cycle
+                        elif kind == KIND_STORE:
+                            shadow_stores[dyn.addr] = dyn.store_val
+                        else:
+                            completion = cycle + exec_done[head]
+                    # write-back
+                    dst = dyn.dst
+                    if dst is not None:
+                        if poisoned:
+                            shadow.add(dst)
+                            reg_ready[dst] = cycle
+                        else:
+                            shadow.discard(dst)
+                            reg_ready[dst] = completion
+                    if dyn.is_control:
+                        predictor.update(dyn)
+                        if not poisoned and not predicted_ok[head]:
+                            # A resolved wrong path redirects fetch; a
+                            # poisoned one stays blocked until the
+                            # fallback resolves and execution rewinds.
+                            self._redirect_fetch(completion)
+                    stats.advance_instructions += 1
+                    if phase_of is not None:
+                        self._phase_advance(head)
+                    head += 1
+                if head != start:
+                    self.fetch_head = head
+                    progress = True
+            # do_fetch (shared body; guard saves the call when idle)
+            if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
+                    and cursor < trace_len and cursor - head < fq_depth
+                    and self.do_fetch(cycle, head, cursor) != cursor):
+                progress = True
+            # store-buffer drain, gated by the checkpoint
+            if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
+                    hierarchy, cycle, committed_memory, before_ssn=before_ssn):
+                moved = True
+            if moved:
+                self._maybe_resume_advance()
+                if self.mode is not SIMPLE_RA:
+                    return
+            elif not progress:
+                self._leap_to_horizon()
+                cycle = self.cycle
+
+    def _requeue_stale_bits(self) -> None:
+        """Entries captured *while* a pass was in flight can carry a bit
+        whose miss returned during that very pass; that bit will never
+        "return" again.  Re-queue any active bits with no in-flight fill
+        behind them so the next pass sweeps them up."""
+        self._stale_check_needed = False
+        stale = self.slice.pending_poison() & ~self._in_flight_bits()
+        if stale:
+            self.pending_rally_mask |= stale
 
     def _in_flight_bits(self) -> int:
         mask = 0
@@ -249,16 +477,20 @@ class ICFPCore(CoreModel):
         return self.mode == NORMAL and self.sb.empty and super().done()
 
     def _set_mode(self, mode: str) -> None:
-        """Switch mode and its issue path together.
+        """Switch mode and, in normal and advance mode, its issue path.
 
         The path (``_mode_issue``) saves the mode dispatch per issue
         attempt on the hot path.  It holds the class function, called
         as ``self._mode_issue(self, idx)``: a bound method here would
         make every core a reference cycle, alive until the cycle
-        collector runs.
+        collector runs.  The fallback has none: the advance issue that
+        enters it returns ``STALLED``, ending that cycle's issue, and
+        :meth:`_run_fallback` issues every later fallback cycle under
+        its own rule.
         """
         self.mode = mode
-        self._mode_issue = getattr(type(self), _MODE_ISSUE[mode])
+        if mode != SIMPLE_RA:
+            self._mode_issue = getattr(type(self), _MODE_ISSUE[mode])
 
     def next_event_cycle(self) -> int | None:
         """Horizon: rally waits, blocked rallies, the gated SB drain, and
@@ -618,27 +850,32 @@ class ICFPCore(CoreModel):
         idle-cycle fast-forward can jump them — the wake-up times are
         exported through :meth:`next_event_cycle`.
         """
+        cycle = self.cycle
         if self._rally_block is not None:
             slice_entry, ready = self._rally_block
-            if ready > self.cycle:
+            if ready > cycle:
                 return False  # blocking rally: idle until the miss returns
             self._rally_block = None
             return self._merge_rally_result(slice_entry, ready)
-        if self._rally_wait_until > self.cycle:
+        if self._rally_wait_until > cycle:
             return False  # waiting on an in-slice FU dependence
-        while self._pass_cursor < len(self._pass_entries):
-            slice_entry = self._pass_entries[self._pass_cursor]
-            if not slice_entry.active or not (slice_entry.poison & self._pass_mask):
-                self._pass_cursor += 1  # banked skip: free
-                continue
-            return self._process_rally_entry(slice_entry)
-        self._end_rally_pass()
-        return False
-
-    def _process_rally_entry(self, slice_entry: SliceEntry) -> bool:
+        entries = self._pass_entries
+        mask = self._pass_mask
+        index = self._pass_cursor
+        end = len(entries)
+        while index < end and not (entries[index].active
+                                   and entries[index].poison & mask):
+            index += 1  # banked skip: free
+        self._pass_cursor = index
+        if index == end:
+            self._end_rally_pass()
+            return False
+        # Re-execute the entry once its in-slice producers' results are
+        # bound and ready.
+        slice_entry = entries[index]
         dyn = slice_entry.dyn
         pending = 0
-        value_ready = self.cycle
+        value_ready = cycle
         for src, producer in (list(slice_entry.producer_seq.items())
                               if slice_entry.producer_seq else ()):
             producer_entry = self.slice_by_seq.get(producer)
@@ -657,7 +894,7 @@ class ICFPCore(CoreModel):
                 value_ready = max(value_ready, producer_entry.done_cycle)
         if pending:
             return self._requeue_rally(slice_entry, pending)
-        if value_ready > self.cycle:
+        if value_ready > cycle:
             self._rally_wait_until = value_ready
             return False
         if self.features.validate:
@@ -667,14 +904,14 @@ class ICFPCore(CoreModel):
             return self._rally_load(slice_entry)
         if dyn.is_store:
             self.sb.update_store(slice_entry.ssn, dyn.store_val, 0)
-            return self._merge_rally_result(slice_entry, self.cycle + 1)
+            return self._merge_rally_result(slice_entry, cycle + 1)
         if dyn.is_control and not slice_entry.predicted_ok:
             # A mispredicted poisoned branch: everything younger than the
             # checkpoint is wrong-path state.  Squash and restart.
             self._squash_to_checkpoint()
             return True
         return self._merge_rally_result(
-            slice_entry, self.cycle + self._exec_done[dyn.index])
+            slice_entry, cycle + self._exec_done[dyn.index])
 
     def _rally_load(self, slice_entry: SliceEntry) -> bool:
         dyn = slice_entry.dyn
@@ -898,107 +1135,15 @@ class ICFPCore(CoreModel):
         self.reg_ready = [self.cycle] * NUM_REGS
 
     # ------------------------------------------------------------------
-    # simple runahead (fallback) mode
-    # ------------------------------------------------------------------
-    def _try_issue_simple_ra(self, idx: int) -> str:
-        dyn = self._insts[idx]
-        cycle = self.cycle
-        shadow = self._shadow_poison
-        reg_ready = self.reg_ready
-        poison_of = self.main_rf.poison
-        poisoned = False
-        nsrc = self._nsrc[idx]
-        if nsrc:
-            src = self._src0[idx]
-            if src in shadow:
-                poisoned = True
-            else:
-                if reg_ready[src] > cycle:
-                    self.stats.stalls.src_wait += 1
-                    return STALLED
-                if poison_of[src]:
-                    poisoned = True
-            if nsrc > 1:
-                src = self._src1[idx]
-                if src in shadow:
-                    poisoned = True
-                else:
-                    if reg_ready[src] > cycle:
-                        self.stats.stalls.src_wait += 1
-                        return STALLED
-                    if poison_of[src]:
-                        poisoned = True
-                if nsrc > 2:
-                    for src in self._srcs[idx][2:]:
-                        if src in shadow:
-                            poisoned = True
-                        else:
-                            if reg_ready[src] > cycle:
-                                self.stats.stalls.src_wait += 1
-                                return STALLED
-                            if poison_of[src]:
-                                poisoned = True
-        completion = cycle + 1
-        if not poisoned:
-            ports = self.ports
-            port_int = self._port_int[idx]
-            if port_int:
-                if ports.int_free <= 0:
-                    self.stats.stalls.port += 1
-                    return STALLED
-                ports.int_free -= 1
-            else:
-                if ports.mem_free <= 0:
-                    self.stats.stalls.port += 1
-                    return STALLED
-                ports.mem_free -= 1
-            kind = self._kind[idx]
-            if kind == KIND_LOAD:
-                if dyn.addr in self._shadow_stores:
-                    completion = cycle + self._l1d_hit_latency
-                elif (ready := self.hierarchy.data_hit_cycle(
-                        dyn.addr, cycle)) is not None:
-                    completion = ready  # L1 hit: never advance-qualifying
-                else:
-                    result = self.hierarchy.data_access(dyn.addr, cycle)
-                    if result.stalled:
-                        return STALLED
-                    self.record_miss(result, idx)
-                    if self._qualifies_for_advance(result):
-                        poisoned = True  # prefetch issued; poison the dest
-                    else:
-                        completion = result.ready_cycle
-            elif kind == KIND_STORE:
-                self._shadow_stores[dyn.addr] = dyn.store_val
-            else:
-                completion = cycle + self._exec_done[idx]
-        dst = dyn.dst
-        if dst is not None:
-            if poisoned:
-                shadow.add(dst)
-                reg_ready[dst] = cycle
-            else:
-                shadow.discard(dst)
-                reg_ready[dst] = completion
-        if dyn.is_control:
-            self.predictor.update(dyn)
-            if not self._predicted_ok[idx] and not poisoned:
-                self._redirect_fetch(completion)
-            # A poisoned mispredicted control leaves fetch blocked: the
-            # shadow path cannot recover it, so fetch idles until the
-            # fallback resolves and execution rewinds.
-        self.stats.advance_instructions += 1
-        if self._phase_of is not None:
-            self._phase_advance(idx)
-        return ISSUED
-
-    # ------------------------------------------------------------------
     # multiprocessor safety
     # ------------------------------------------------------------------
     def external_store(self, addr: int) -> bool:
         """An external (other-core) store probes the load signature.
 
-        Returns True if it forced a squash to the checkpoint.
+        Returns True if it forced a squash to the checkpoint.  Callers
+        probe between ``step_cycle`` calls, and a fallback runs inside
+        one, so the probe finds the core in normal or advance mode: a
+        fallback's episode is probed once the call that ran it returns.
         """
         if self.mode == NORMAL or self.checkpoint is None:
             return False

@@ -20,12 +20,16 @@ which does four things in one frame::
        lists indexed by dynamic index, so fetch allocates nothing
     4. store drain and mode-exit checks; leap if nothing moved
 
-A call steps one cycle, except in the runahead family (Runahead, and
-Multipass, which adds one result-reuse hook): there a call covers a
-whole runahead stretch, every cycle from the first in runahead mode up
-to the one before the trigger fill returns, each doing the four things
-above.  Callers check the safety limit between calls (:meth:`run`), and
-a stretch checks it between its cycles.
+A call steps one cycle, except in two cases, each cycle of which does
+the four things above.  In the runahead family (Runahead, and
+Multipass, which adds one result-reuse hook) a call covers a whole
+runahead stretch, every cycle from the first in runahead mode up to
+the one before the trigger fill returns.  In the iCFP family (iCFP, and
+SLTP, which inherits it) a call whose tail issue falls back to simple
+runahead covers the whole fallback, through the cycle that resumes
+advance mode or squashes, so no call starts or ends in it.  Callers
+check the safety limit between calls (:meth:`run`), and a stretch or a
+fallback checks it between its cycles.
 
 The model is execute-driven over a pre-materialised dynamic trace:
 instructions know their operands, addresses, and branch outcomes, so

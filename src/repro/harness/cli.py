@@ -533,7 +533,8 @@ def cmd_run(args) -> None:
         stats = result.stats
         line += (f"  [adv {stats.advance_instructions}, "
                  f"rally {stats.rally_instructions}, "
-                 f"squash {stats.squashes}]")
+                 f"squash {stats.squashes}, "
+                 f"fallback {stats.simple_runahead_entries}]")
         print(line)
         phases = result.phase_stats or []
         if len(phases) > 1:

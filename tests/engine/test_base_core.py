@@ -6,8 +6,9 @@ import weakref
 
 import pytest
 
-from repro.baselines import InOrderCore, MultipassCore, RunaheadCore
+from repro.baselines import InOrderCore, MultipassCore, RunaheadCore, SLTPCore
 from repro.baselines.runahead import NORMAL
+from repro.core.icfp import ICFPCore
 from repro.engine import ISSUED, SimulationDiverged
 from repro.functional import run_program
 from repro.harness.experiment import ExperimentConfig, MODELS, make_core
@@ -225,44 +226,53 @@ def test_simulation_diverged_guard():
         InOrderCore(trace, config=cfg).run()
 
 
+#: One cold DRAM miss; in the iCFP family a 140-long chain on its result
+#: overflows the 128-entry slice buffer, and the core falls back until
+#: the episode has merged.
+MISS_TEXT = "li r1, 0x80000\nld r2, r1, 0\naddi r3, r2, 1\nhalt"
+FALLBACK_TEXT = ("li r1, 0x80000\nld r2, r1, 0\n" + "addi r2, r2, 1\n" * 140
+                 + "halt")
+
+
 @pytest.mark.parametrize("cls, leap", [
     pytest.param(cls, leap, id=("" if cls is InOrderCore else f"{cls.name}-")
                  + ("leap" if leap else "stepped"))
-    for cls in (InOrderCore, RunaheadCore, MultipassCore)
+    for cls in (InOrderCore, RunaheadCore, MultipassCore, ICFPCore, SLTPCore)
     for leap in (True, False)
 ])
 def test_diverged_guard_is_not_leapt_over(cls, leap):
     """The one idle window here (a cold DRAM miss) is a single leap of
-    hundreds of cycles in-order, and a runahead period that one
-    ``step_cycle`` call runs through in the runahead family.  A limit
+    hundreds of cycles in-order, a runahead period that one
+    ``step_cycle`` call runs through in the runahead family, and a
+    fallback that one call runs through in the iCFP family.  A limit
     inside that window must still raise in both engines, with the
     message ``run()`` gives, and stepped cycle by cycle, on the first
-    cycle past the limit; a leap or a stretch past it never yields a
-    truncated result."""
+    cycle past the limit; a leap, a stretch or a fallback past it never
+    yields a truncated result."""
+    icfp_family = issubclass(cls, ICFPCore)
     trace = run_program(assemble_text(
-        """
-        li r1, 0x80000
-        ld r2, r1, 0
-        addi r3, r2, 1
-        halt
-        """
-    ))
+        FALLBACK_TEXT if icfp_family else MISS_TEXT))
     full = cls(trace, config=quick_config(), leap=leap).run()
     assert full.cycles > 200
-    short = dataclasses.replace(quick_config(), max_cycles=50)
+    limit = 300 if icfp_family else 50
+    short = dataclasses.replace(quick_config(), max_cycles=limit)
     if cls is not InOrderCore:
+        # The call that runs the window: from cycle `entered` to the
+        # one it returns on.
         core = cls(trace, config=quick_config(), leap=leap)
-        while core.mode == NORMAL and not core.done():
+        while not core.done() and (
+                not core.stats.simple_runahead_entries if icfp_family
+                else core.mode == NORMAL):
             entered = core.cycle + 1
             core.step_cycle()
-        assert entered < 50 < core._trigger_ready
+        assert entered < limit < core.cycle
     core = cls(trace, config=short, leap=leap)
     with pytest.raises(SimulationDiverged,
-                       match=rf"^{cls.name}: exceeded 50 cycles "
+                       match=rf"^{cls.name}: exceeded {limit} cycles "
                              rf"\(\d/{len(trace)} committed\)$"):
         core.run()
     if not leap:
-        assert core.cycle == 51
+        assert core.cycle == limit + 1
     exact = dataclasses.replace(quick_config(), max_cycles=full.cycles)
     fits = cls(trace, config=exact, leap=leap).run()
     assert (fits.cycles, fits.instructions) == (full.cycles, full.instructions)

@@ -35,11 +35,15 @@ MODELS = [
     (MultipassCore, {}),
     (SLTPCore, {"advance_on": "all"}),
     (ICFPCore, {"features": ICFPFeatures()}),
+    # The only configuration whose runs fall back on `indexed_stall`, so
+    # the audit covers that fallback's exit edges too.
+    (ICFPCore, {"features": ICFPFeatures(store_buffer_kind="indexed")}),
 ]
 
 #: Two budgets on purpose: the short one ends runs inside advance/rally
 #: episodes (exit-edge wake-ups), the long one accumulates enough slice
-#: pressure to reach the fallback modes (slice-full, store-buffer-full).
+#: pressure to reach the fallback modes (slice-full, store-buffer-full,
+#: and indexed-stall in the indexed row).
 BUDGETS = (800, 2500)
 
 STAT_FIELDS = ("loads", "stores", "branches", "l1d_misses", "l2_misses")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -128,6 +129,14 @@ def test_positive_jobs_and_timeouts_parse():
 def test_run_command_single_model(capsys):
     out = run_cli(capsys, "run", "mesa_like", "icfp", "-n", "800")
     assert "icfp" in out and "cycles" in out
+
+
+def test_run_command_counts_fallbacks(capsys):
+    """The bracket counts simple-runahead fallbacks, which mcf_like's
+    iCFP run enters (its advance count alone hides them)."""
+    out = run_cli(capsys, "run", "mcf_like", "icfp", "-n", "800")
+    fallbacks = int(re.search(r"fallback (\d+)\]", out).group(1))
+    assert fallbacks > 0
 
 
 def test_run_command_all_models(capsys):
