@@ -19,10 +19,8 @@ Configurations follow Section 5.1 / Figure 6:
 
 Normal mode issues through :meth:`CoreModel.try_issue
 <repro.engine.base.CoreModel.try_issue>`, the one in-order issue rule
-this model shares with the in-order core and Multipass; its miss arm
-asks :meth:`RunaheadCore._try_enter` to start a runahead period if the
-miss qualifies.  (iCFP and SLTP keep their own normal-mode rule: their
-chained store buffer replaces the store queue.)
+of all five models; its miss arm asks :meth:`RunaheadCore._try_enter`
+to start a runahead period if the miss qualifies.
 
 One ``step_cycle`` call steps one normal-mode cycle or runs a whole
 runahead stretch: from the first runahead-mode cycle (the rest of the
@@ -35,12 +33,11 @@ reused head's wake-up and the prune at exit.
 
 from __future__ import annotations
 
-from ..engine.base import CoreModel, ENTERED, ISSUED, STALLED
+from ..engine.base import CoreModel, ENTERED, ISSUED, NORMAL, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..memory.hierarchy import L2, MEMORY, PENDING, STREAM, MemResult
 from .runahead_cache import RunaheadCache
 
-NORMAL = "normal"
 RUNAHEAD = "runahead"
 
 
@@ -58,7 +55,6 @@ class RunaheadCore(CoreModel):
         if advance_on not in ("l2", "l2_d1", "all"):
             raise ValueError(f"unknown advance_on: {advance_on}")
         self.advance_on = advance_on
-        self.mode = NORMAL
         self.ra_cache = RunaheadCache()  # Table 1: 256 entries
         self._shadow_poison: set[int] = set()
         self._trigger_ready = 0
@@ -100,18 +96,12 @@ class RunaheadCore(CoreModel):
                 earliest = reg_ready[src]
         return earliest
 
-    def done(self) -> bool:
-        # A runahead period always ends with a restore; the run can only
-        # finish in normal mode, after the architectural re-execution.
-        return self.mode == NORMAL and super().done()
-
     def _try_enter(self, dyn: DynInst, result: MemResult) -> bool:
         """Start a runahead period if this normal-mode miss qualifies.
 
-        Only *long* misses are worth a runahead period: true DRAM fills
-        or in-flight fills with DRAM-class remaining latency.  Stream-
-        buffer hits return in L2-hit-class time — entering runahead on
-        them costs the restart penalty for almost no look-ahead.  Under
+        Only long misses (:meth:`~repro.engine.base.CoreModel.
+        _is_long_miss`) are worth a runahead period: a short one costs
+        the restart penalty for almost no look-ahead.  Under
         ``advance_on="l2_d1"``/``"all"`` a primary D$ miss qualifies
         too: one that is the lone outstanding demand miss (otherwise it
         is a secondary miss).
@@ -120,14 +110,9 @@ class RunaheadCore(CoreModel):
         memory port as the first runahead instruction (discarded later):
         its destination is poisoned.
         """
-        level = result.level
-        if not (level == MEMORY
-                or (level == PENDING and result.mshr is not None
-                    and result.mshr.is_l2
-                    and (result.ready_cycle - self.cycle
-                         > 2 * self._l2_hit_latency))
+        if not (self._is_long_miss(result)
                 or (self.advance_on in ("l2_d1", "all")
-                    and level in (L2, PENDING)
+                    and result.level in (L2, PENDING)
                     and self.hierarchy.outstanding_demand_misses(
                         self.cycle) <= 1)):
             return False
@@ -153,7 +138,7 @@ class RunaheadCore(CoreModel):
         """The triggering miss returned: discard everything and replay."""
         self.mode = NORMAL
         self._restart_fetch(self._ckpt_cursor)
-        self.reg_ready = self._ckpt_reg_ready or [self.cycle] * len(self.reg_ready)
+        self.reg_ready = self._ckpt_reg_ready
         self._ckpt_reg_ready = None
         self._shadow_poison = set()
         self.ra_cache.flush()
@@ -475,7 +460,7 @@ class RunaheadCore(CoreModel):
                 if self.store_queue.full:
                     self.stats.stalls.store_buffer_full += 1
                     return STALLED
-                self.store_queue.push(dyn.addr, dyn.store_val)
+                self.store_queue.allocate(dyn.addr, dyn.store_val)
             dst = dyn.dst
             if dst is not None:
                 self.reg_ready[dst] = completion

@@ -83,7 +83,7 @@ class SLTPCore(ICFPCore):
         # Slice re-execution is interleaved with the SRL drain in program
         # order, and the tail cannot resume until the drain completes:
         # charge one cycle per logged store still in the SRL.
-        srl_occupancy = len(self.sb)
+        srl_occupancy = len(self.store_queue)
         if srl_occupancy:
             resume = self.cycle + srl_occupancy
             if resume > self.fetch_resume_cycle:

@@ -2,8 +2,11 @@
 
 State machine
 -------------
-``normal``    — plain in-order execution (with the chained store buffer
-                acting as the machine's store buffer).
+``normal``    — plain in-order execution under the shared issue rule,
+                :meth:`~repro.engine.base.CoreModel.try_issue`, with the
+                chained store buffer as the core's ``store_queue``; a
+                qualifying miss enters advance mode through the rule's
+                :meth:`ICFPCore._try_enter` hook.
 ``advance``   — a checkpoint is live.  Miss-independent instructions
                 execute and commit into the main register file (tagged
                 with last-writer sequence numbers); miss-dependent ones
@@ -36,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.base import CoreModel, ISSUED, STALLED
+from ..engine.base import CoreModel, ISSUED, NORMAL, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
-from ..isa.registers import NUM_REGS, ZERO_REG
+from ..isa.registers import NUM_REGS
 from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
                                 MemResult)
 from .poison import PoisonAllocator
@@ -47,13 +50,12 @@ from .signature import LoadSignature
 from .slice_buffer import SliceBuffer, SliceEntry
 from .store_buffer import ChainedStoreBuffer, ForwardResult, IndexedStall
 
-NORMAL = "normal"
 ADVANCE = "advance"
 SIMPLE_RA = "simple_ra"
 
 #: The issue path of each mode a ``step_cycle`` call starts in, by
 #: method name (see :meth:`ICFPCore._set_mode`).
-_MODE_ISSUE = {NORMAL: "_try_issue_normal", ADVANCE: "_try_issue_advance"}
+_MODE_ISSUE = {NORMAL: "try_issue", ADVANCE: "_try_issue_advance"}
 
 #: Forward-progress bound on chained re-advance: a rallied load may
 #: re-defer on a fresh qualifying miss at most this many times before
@@ -111,12 +113,15 @@ class ICFPCore(CoreModel):
         super().__init__(trace, config=config, leap=leap)
         self.features = features if features is not None else ICFPFeatures()
         f = self.features
+        if f.advance_on not in ("all", "l2"):
+            raise ValueError(f"unknown advance_on: {f.advance_on}")
         self._mt_rally = f.mt_rally
         self._set_mode(NORMAL)
         self.main_rf = MainRegFile()
         self.slice = SliceBuffer(f.slice_entries)
         self.slice_by_seq: dict[int, SliceEntry] = {}
-        self.sb = ChainedStoreBuffer(
+        # The chained store buffer replaces the conventional store queue.
+        self.store_queue = ChainedStoreBuffer(
             capacity=f.store_buffer_entries,
             chain_table_size=f.chain_table_size,
             kind=f.store_buffer_kind,
@@ -146,10 +151,9 @@ class ICFPCore(CoreModel):
     # ==================================================================
     def step_cycle(self) -> None:
         # The only per-cycle body of the iCFP family (SLTP inherits it);
-        # the golden fixtures and the leap audit pin it.  iCFP replaces
-        # the conventional store queue with the chained store buffer
-        # (drained at the end of the cycle), so the conventional queue,
-        # always empty here, is never probed.  A normal or advance cycle
+        # the golden fixtures and the leap audit pin it.  The store
+        # queue is the chained store buffer, drained at the end of the
+        # cycle behind the checkpoint's gate.  A normal or advance cycle
         # is stepped here; once the tail issue falls back, _run_fallback
         # runs the fallback in this same call, so no call starts in it.
         cycle = self.cycle + 1
@@ -177,7 +181,8 @@ class ICFPCore(CoreModel):
                 if self.pending_rally_mask and self.slice._active:
                     self._start_rally_pass()
         # rally slot, then in-order tail issue through the mode's path
-        # (re-read per iteration: an issue can flip the mode)
+        # (re-read per iteration: an issue can flip the mode, and the
+        # load that enters advance mode, ENTERED, issued like any other)
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -204,7 +209,7 @@ class ICFPCore(CoreModel):
                 end = cursor
             decode_ready = self._decode_ready
             while (head < end and decode_ready[head] <= cycle
-                   and self._mode_issue(self, head) is ISSUED):
+                   and self._mode_issue(self, head) is not STALLED):
                 head += 1
             if head != start:
                 self.fetch_head = head
@@ -217,7 +222,7 @@ class ICFPCore(CoreModel):
             progress = True
         # gated store-buffer drain + mode-exit checks
         checkpoint = self.checkpoint
-        sb = self.sb
+        sb = self.store_queue
         if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
                 self.hierarchy, cycle, self.committed_memory,
                 before_ssn=checkpoint.ssn if checkpoint is not None else None):
@@ -291,7 +296,7 @@ class ICFPCore(CoreModel):
         predictor = self.predictor
         poison_alloc = self.poison_alloc
         slice_buf = self.slice
-        sb = self.sb
+        sb = self.store_queue
         committed_memory = self.committed_memory
         # A resume or a squash replaces these, and the loop returns on
         # either.
@@ -471,11 +476,6 @@ class ICFPCore(CoreModel):
                 mask |= 1 << mshr.poison_bit
         return mask
 
-    def done(self) -> bool:
-        # The chained store buffer stands in for the store queue (always
-        # empty here), and the run ends only once it has drained.
-        return self.mode == NORMAL and self.sb.empty and super().done()
-
     def _set_mode(self, mode: str) -> None:
         """Switch mode and, in normal and advance mode, its issue path.
 
@@ -493,11 +493,12 @@ class ICFPCore(CoreModel):
             self._mode_issue = getattr(type(self), _MODE_ISSUE[mode])
 
     def next_event_cycle(self) -> int | None:
-        """Horizon: rally waits, blocked rallies, the gated SB drain, and
-        the rally-start triggers that only a stepped cycle can act on
-        (the pending rally mask and the stale-bit re-queue) — without
-        exporting those, a leap could glide over the very cycle that
-        would have launched the next rally pass."""
+        """Horizon: rally waits, blocked rallies, and the rally-start
+        triggers that only a stepped cycle can act on (the pending rally
+        mask and the stale-bit re-queue) — without exporting those, a
+        leap could glide over the very cycle that would have launched
+        the next rally pass.  The store buffer's drain is the base
+        scan's ``store_queue`` horizon."""
         hints = []
         cycle = self.cycle
         if self.rally_active:
@@ -516,131 +517,62 @@ class ICFPCore(CoreModel):
                 hints.append(cycle + 1)
         if self._rally_block is not None:
             hints.append(self._rally_block[1])
-        drain = self.sb.next_event_cycle(cycle)
-        if drain is not None:
-            hints.append(drain)
         return min(hints) if hints else None
 
     def _head_wakeup(self, idx: int) -> int:
         """Mode-exact wake-up of the issue head (leap contract: never
         later than the cycle the issue path would accept the entry).
 
-        * ``normal``    — sources and destination (WAW) must be ready.
+        * ``normal``    — the base rule: sources and destination (WAW).
         * ``advance``   — poisoned sources never wait (the instruction
           slices out instead); no WAW stall.
         * ``simple_ra`` — *shadow*-poisoned sources never wait; every
           other source (including main-poisoned ones, which the issue
           path checks only after the scoreboard) waits; no WAW stall.
         """
-        earliest = self._decode_ready[idx]
-        srcs = self._srcs[idx]
-        reg_ready = self.reg_ready
         mode = self.mode
+        if mode == NORMAL:
+            return super()._head_wakeup(idx)
+        earliest = self._decode_ready[idx]
+        reg_ready = self.reg_ready
         if mode == SIMPLE_RA:
             shadow = self._shadow_poison
-            for src in srcs:
+            for src in self._srcs[idx]:
                 if src not in shadow and reg_ready[src] > earliest:
                     earliest = reg_ready[src]
-            return earliest
-        poison = self.main_rf.poison
-        normal = mode == NORMAL
-        for src in srcs:
-            if (normal or not poison[src]) and reg_ready[src] > earliest:
-                earliest = reg_ready[src]
-        dst = self._dst[idx]
-        if (normal and dst is not None and dst != ZERO_REG
-                and reg_ready[dst] > earliest):
-            earliest = reg_ready[dst]
+        else:
+            poison = self.main_rf.poison
+            for src in self._srcs[idx]:
+                if not poison[src] and reg_ready[src] > earliest:
+                    earliest = reg_ready[src]
         return earliest
 
     # ==================================================================
     # issue paths
     # ==================================================================
     # ------------------------------------------------------------------
-    # normal mode
+    # normal mode: the shared rule, CoreModel.try_issue, and its hooks
     # ------------------------------------------------------------------
-    def _try_issue_normal(self, idx: int) -> str:
-        dyn = self._insts[idx]
-        cycle = self.cycle
-        reg_ready = self.reg_ready
-        ports = self.ports
-        if self._port_int[idx]:
-            if ports.int_free <= 0:
-                self.stats.stalls.port += 1
-                return STALLED
-        elif ports.mem_free <= 0:
-            self.stats.stalls.port += 1
-            return STALLED
-        nsrc = self._nsrc[idx]
-        if nsrc:
-            if reg_ready[self._src0[idx]] > cycle:
-                self.stats.stalls.src_wait += 1
-                return STALLED
-            if nsrc > 1:
-                if reg_ready[self._src1[idx]] > cycle:
-                    self.stats.stalls.src_wait += 1
-                    return STALLED
-                if nsrc > 2:
-                    for src in self._srcs[idx][2:]:
-                        if reg_ready[src] > cycle:
-                            self.stats.stalls.src_wait += 1
-                            return STALLED
-        dst = self._dst[idx]
-        if dst is not None and dst != ZERO_REG and reg_ready[dst] > cycle:
-            self.stats.stalls.waw_wait += 1
-            return STALLED
+    def _try_enter(self, dyn: DynInst, result: MemResult) -> bool:
+        """Enter advance mode if this normal-mode miss qualifies: the
+        defining transition.  Checkpoint at the load, which takes its
+        memory port and slices out as the episode's first instruction
+        (the slice buffer is empty outside an episode, and never has
+        fewer than one entry, so the capture always finds room)."""
+        if not self._qualifies_for_advance(result):
+            return False
+        self._enter_advance(dyn.index)
+        self.ports.mem_free -= 1
+        self._advance_missing_load(dyn, result)
+        return True
 
-        kind = self._kind[idx]
-        if kind == KIND_LOAD:
-            return self._normal_load(dyn)
-        if kind == KIND_STORE:
-            if self.sb.full:
-                self.stats.stalls.store_buffer_full += 1
-                return STALLED
-            self.sb.allocate(dyn.addr, dyn.store_val, 0, -1)
-            self._finish_issue(dyn, cycle + 1)
-            return ISSUED
-        completion = cycle + self._exec_done[idx]
-        self._finish_issue(dyn, completion)
-        return ISSUED
-
-    def _normal_load(self, dyn: DynInst) -> str:
-        fwd = self.sb.forward(dyn.addr)
-        if fwd is not None:
-            if type(fwd) is IndexedStall:
-                self.stats.stalls.store_buffer_full += 1
-                return STALLED  # wait for the conflicting store to drain
-            self.stats.store_forward_hits += 1
-            self.stats.store_forward_hops += fwd.excess_hops
-            self._check_forward(fwd, dyn)
-            self._finish_issue(dyn, self.cycle + self._l1d_hit_latency
-                               + fwd.excess_hops)
-            return ISSUED
-        ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
-        if ready is not None:
-            # L1 hit: record_miss is a no-op and never advance-qualifying.
-            self._finish_issue(dyn, ready)
-            return ISSUED
-        result = self.hierarchy.data_access(dyn.addr, self.cycle)
-        if result.stalled:
-            self.stats.stalls.mshr_full += 1
-            return STALLED
-        self.record_miss(result, dyn.index)
-        if self._qualifies_for_advance(result):
-            # The defining transition: checkpoint and keep flowing.
-            self._enter_advance(dyn.index)
-            self.ports.mem_free -= 1
-            return self._advance_missing_load(dyn, result)
-        self._finish_issue(dyn, result.ready_cycle)
-        return ISSUED
-
-    def _finish_issue(self, dyn: DynInst, completion: int) -> None:
-        """Common issue epilogue for normal-mode instructions."""
-        if self._port_int[dyn.index]:
-            self.ports.int_free -= 1
-        else:
-            self.ports.mem_free -= 1
-        self.commit(dyn, completion)
+    def commit(self, dyn: DynInst, completion: int) -> None:
+        """Normal-mode commit: the base book-keeping, then the value
+        into the main register file (an advance commit writes it through
+        :meth:`_commit_advance` instead).  The base is called directly,
+        not through ``super()``: this runs once per committed
+        instruction."""
+        CoreModel.commit(self, dyn, completion)
         if dyn.dst is not None:
             self.main_rf.write_normal(dyn.dst, dyn.result)
 
@@ -710,7 +642,7 @@ class ICFPCore(CoreModel):
         return ISSUED
 
     def _advance_load(self, dyn: DynInst) -> str:
-        fwd = self.sb.forward(dyn.addr)
+        fwd = self.store_queue.forward(dyn.addr)
         if fwd is not None:
             if type(fwd) is IndexedStall:
                 self._enter_simple_ra(dyn.index, "indexed_stall")
@@ -761,14 +693,14 @@ class ICFPCore(CoreModel):
             self.stats.stalls.poisoned_store_addr += 1
             self._enter_simple_ra(dyn.index, "poisoned_store_addr")
             return STALLED
-        if self.sb.full:
+        if self.store_queue.full:
             self._enter_simple_ra(dyn.index, "store_buffer_full")
             return STALLED
         if not data_poison:
             if self.ports.mem_free <= 0:
                 self.stats.stalls.port += 1
                 return STALLED
-            self.sb.allocate(dyn.addr, dyn.store_val, 0, self.next_seq)
+            self.store_queue.allocate(dyn.addr, dyn.store_val)
             self.ports.mem_free -= 1
             self._commit_advance(dyn, self.cycle + 1)
             return ISSUED
@@ -777,7 +709,7 @@ class ICFPCore(CoreModel):
         if self.slice.full:
             self._enter_simple_ra(dyn.index, "slice_buffer_full")
             return STALLED
-        ssn = self.sb.allocate(dyn.addr, None, data_poison, self.next_seq)
+        ssn = self.store_queue.allocate(dyn.addr, None, data_poison)
         return self._capture_slice(dyn, data_poison, ssn=ssn)
 
     def _capture_slice(self, dyn: DynInst, poison: int,
@@ -796,7 +728,7 @@ class ICFPCore(CoreModel):
             else:
                 captured[src] = self.main_rf.values[src]
         slice_entry = SliceEntry(dyn, seq, captured, poison,
-                                 ssn_limit=self.sb.ssn_tail,
+                                 ssn_limit=self.store_queue.ssn_tail,
                                  predicted_ok=self._predicted_ok[dyn.index],
                                  producer_seq=producer_seq, ssn=ssn)
         self.slice.append(slice_entry)
@@ -816,7 +748,7 @@ class ICFPCore(CoreModel):
 
     def _commit_advance(self, dyn: DynInst, completion: int) -> None:
         seq = self._take_seq()
-        self.commit(dyn, completion)
+        CoreModel.commit(self, dyn, completion)
         self.stats.advance_instructions += 1
         if self._phase_of is not None:
             self._phase_advance(dyn.index)
@@ -903,7 +835,7 @@ class ICFPCore(CoreModel):
         if dyn.is_load:
             return self._rally_load(slice_entry)
         if dyn.is_store:
-            self.sb.update_store(slice_entry.ssn, dyn.store_val, 0)
+            self.store_queue.update_store(slice_entry.ssn, dyn.store_val, 0)
             return self._merge_rally_result(slice_entry, cycle + 1)
         if dyn.is_control and not slice_entry.predicted_ok:
             # A mispredicted poisoned branch: everything younger than the
@@ -915,7 +847,8 @@ class ICFPCore(CoreModel):
 
     def _rally_load(self, slice_entry: SliceEntry) -> bool:
         dyn = slice_entry.dyn
-        fwd = self.sb.forward(dyn.addr, before_ssn=slice_entry.ssn_limit)
+        fwd = self.store_queue.forward(dyn.addr,
+                                       before_ssn=slice_entry.ssn_limit)
         if isinstance(fwd, IndexedStall):
             # Treat like a pending input: revisit next pass.
             return self._requeue_rally(slice_entry, slice_entry.poison)
@@ -1016,27 +949,20 @@ class ICFPCore(CoreModel):
     def _qualifies_for_advance(self, result: MemResult) -> bool:
         """Which misses trigger/extend advance execution.
 
-        "L2-only" configurations trigger on *long* misses: true DRAM
-        fills, or in-flight fills with DRAM-class remaining latency.
-        Stream-buffer hits return within L2-hit-class latency, so they
-        count as short misses (like D$ misses that hit the L2).
+        "L2-only" configurations trigger on long misses only
+        (:meth:`~repro.engine.base.CoreModel._is_long_miss`); "all" on
+        every D$ miss.
         """
-        level = result.level
-        if level == MEMORY:
-            return True
         if self.features.advance_on == "all":
-            return level in (L2, STREAM, PENDING)
-        if level == PENDING and result.mshr is not None and result.mshr.is_l2:
-            threshold = 2 * self._l2_hit_latency
-            return result.ready_cycle - self.cycle > threshold
-        return False
+            return result.level in (MEMORY, L2, STREAM, PENDING)
+        return self._is_long_miss(result)
 
     def _enter_advance(self, idx: int) -> None:
         """Checkpoint at the triggering load (dynamic index ``idx``)."""
         self.main_rf.checkpoint()
         self.checkpoint = _Checkpoint(
             cursor=idx,
-            ssn=self.sb.ssn_tail,
+            ssn=self.store_queue.ssn_tail,
             cycle=self.cycle,
             committed=(self.stats.instructions, self.stats.loads,
                        self.stats.stores, self.stats.branches),
@@ -1089,7 +1015,7 @@ class ICFPCore(CoreModel):
             slice_buf = self.slice
             resume = len(slice_buf._entries) < slice_buf.capacity
         elif reason == "store_buffer_full":
-            resume = not self.sb.full
+            resume = not self.store_queue.full
         else:  # poisoned_store_addr / indexed_stall: retry after rallies
             resume = self._rallied_since_fallback
         if not resume:
@@ -1107,7 +1033,7 @@ class ICFPCore(CoreModel):
         self.main_rf.restore()
         self.slice.flush()
         self.slice_by_seq.clear()
-        self.sb.squash_to(ckpt.ssn)
+        self.store_queue.squash_to(ckpt.ssn)
         self._restart_fetch(ckpt.cursor)
         self._set_mode(NORMAL)
         self.checkpoint = None

@@ -69,6 +69,11 @@ class SliceBuffer:
     """Bounded, program-ordered, sparse slice buffer."""
 
     def __init__(self, capacity: int = 128) -> None:
+        if capacity < 1:
+            # An advance episode's first capture is the load that starts
+            # it: a slice with no room could never enter advance mode.
+            raise ValueError(f"slice buffer needs at least one entry, "
+                             f"not {capacity}")
         self.capacity = capacity
         self._entries: deque[SliceEntry] = deque()
         self._active = 0

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..pipeline.store_queue import IndexedStall
+
 
 @dataclass(slots=True)
 class ForwardResult:
@@ -34,19 +36,8 @@ class ForwardResult:
     ssn: int
 
 
-class IndexedStall:
-    """Sentinel: an ``indexed`` store buffer cannot disambiguate the load
-    until the conflicting store (``ssn``) drains."""
-
-    __slots__ = ("ssn",)
-
-    def __init__(self, ssn: int) -> None:
-        self.ssn = ssn
-
-
 class _Entry:
-    __slots__ = ("ssn", "addr", "value", "poison", "ssn_link", "seq",
-                 "drain_ready")
+    __slots__ = ("ssn", "addr", "value", "poison", "ssn_link", "drain_ready")
 
     def __init__(self) -> None:
         self.ssn = -1
@@ -54,7 +45,6 @@ class _Entry:
         self.value = None
         self.poison = 0
         self.ssn_link = -1
-        self.seq = -1
         self.drain_ready: int | None = None
 
 
@@ -69,6 +59,9 @@ class ChainedStoreBuffer:
             raise ValueError(f"unknown store buffer kind: {kind}")
         if chain_table_size & (chain_table_size - 1):
             raise ValueError("chain table size must be a power of two")
+        if capacity < 1:
+            raise ValueError(f"store buffer needs at least one entry, "
+                             f"not {capacity}")
         self.capacity = capacity
         self.kind = kind
         self._entries = [_Entry() for _ in range(capacity)]
@@ -101,7 +94,7 @@ class ChainedStoreBuffer:
     # ------------------------------------------------------------------
     # allocation (program order)
     # ------------------------------------------------------------------
-    def allocate(self, addr: int, value, poison: int, seq: int) -> int:
+    def allocate(self, addr: int, value, poison: int = 0) -> int:
         """Insert a store at the tail; returns its SSN."""
         if self.full:
             raise OverflowError("store buffer full")
@@ -112,7 +105,6 @@ class ChainedStoreBuffer:
         entry.addr = addr
         entry.value = value
         entry.poison = poison
-        entry.seq = seq
         entry.drain_ready = None
         h = self._hash(addr)
         entry.ssn_link = self._chain_table[h]

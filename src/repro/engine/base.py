@@ -4,11 +4,12 @@
 Runahead, Multipass, SLTP, iCFP) subclasses: state, fetch, the
 in-order issue rule, commit, the fetch restart and mispredict redirect,
 and the event-horizon leap.  The issue rule, :meth:`CoreModel.try_issue`,
-is the normal-mode rule of in-order, Runahead and Multipass; its
-data-miss arm asks one hook, :meth:`CoreModel._try_enter`, to start a
-runahead period if the miss qualifies.  iCFP and SLTP keep their own
-normal-mode rule: their chained store buffer replaces the store queue.
-Each model family owns exactly one per-cycle body, its ``step_cycle``,
+is the normal-mode rule of all five models; its data-miss arm asks one
+hook, :meth:`CoreModel._try_enter`, to start a runahead period or an
+advance episode if the miss qualifies.  Every core has one store slot,
+``store_queue``: the conventional :class:`~repro.pipeline.store_queue.
+StoreQueue`, or for iCFP and SLTP the chained store buffer that replaces
+it.  Each model family owns exactly one per-cycle body, its ``step_cycle``,
 which does four things in one frame::
 
     1. miss returns and mode transitions
@@ -72,19 +73,24 @@ from ..branch.predictor import BranchPredictor
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE, Trace
 from ..obs import trace as _obs_trace
 from ..isa.registers import NUM_REGS, ZERO_REG
-from ..memory.hierarchy import MemoryHierarchy, MemResult
+from ..memory.hierarchy import MEMORY, PENDING, MemoryHierarchy, MemResult
 from ..pipeline.config import MachineConfig
 from ..pipeline.resources import PortSet
 from ..pipeline.stats import CoreStats, PhaseStats
-from ..pipeline.store_queue import StoreQueue
+from ..pipeline.store_queue import IndexedStall, StoreQueue
 from .result import SimResult
 
 #: try_issue outcomes.  ``ENTERED``: the head is a load whose miss
-#: started a runahead period (:meth:`CoreModel._try_enter`); it issued
-#: as the period's first instruction.
+#: started a runahead period or an advance episode
+#: (:meth:`CoreModel._try_enter`); it issued as the first instruction of
+#: the new mode.
 ISSUED = "issued"
 STALLED = "stalled"
 ENTERED = "entered"
+
+#: The mode every core starts and finishes a run in; the plain in-order
+#: core never leaves it.
+NORMAL = "normal"
 
 
 class SimulationDiverged(RuntimeError):
@@ -129,6 +135,7 @@ class CoreModel:
         self.stats = CoreStats()
 
         self.cycle = 0
+        self.mode = NORMAL
         self.reg_ready = [0] * NUM_REGS
         #: The fetch queue is the window ``[fetch_head, cursor)``: fetch
         #: is in order, so the queued instructions are always consecutive
@@ -358,9 +365,13 @@ class CoreModel:
                 1000.0 * self.stats.instructions / self.stats.cycles)
 
     def done(self) -> bool:
+        """The run is over: every instruction issued and completed, back
+        in normal mode (a runahead period or advance episode always ends
+        in it), and the store queue drained."""
         return (
             self.cursor >= self._trace_len
             and self.fetch_head == self.cursor
+            and self.mode == NORMAL
             and self.store_queue.empty
             and self.cycle >= self.last_completion
         )
@@ -428,11 +439,13 @@ class CoreModel:
     def try_issue(self, idx: int) -> str:
         """Issue the head (dynamic index ``idx``) under in-order rules:
         ``ISSUED``, ``STALLED``, or ``ENTERED`` when it is a load whose
-        miss starts a runahead period.
+        miss starts a runahead period or an advance episode.
 
-        The normal-mode rule of in-order, Runahead and Multipass; iCFP
-        and SLTP keep their own (their chained store buffer replaces
-        the store queue)."""
+        The normal-mode rule of all five models.  Loads forward from the
+        ``store_queue``, whichever kind it is: a chained store buffer's
+        forward adds its excess chain hops to the latency, and an
+        indexed one's :class:`~repro.pipeline.store_queue.IndexedStall`
+        holds the load until the conflicting store drains."""
         dyn = self._insts[idx]
         cycle = self.cycle
         ports = self.ports
@@ -465,10 +478,16 @@ class CoreModel:
             return STALLED
         kind = self._kind[idx]
         if kind == KIND_LOAD:
-            hit = self.store_queue.forward(dyn.addr)
-            if hit is not None:
+            fwd = self.store_queue.forward(dyn.addr)
+            if fwd is not None:
+                if type(fwd) is IndexedStall:
+                    self.stats.stalls.store_buffer_full += 1
+                    return STALLED
+                hops = fwd.excess_hops
                 self.stats.store_forward_hits += 1
-                completion = cycle + self._l1d_hit_latency
+                self.stats.store_forward_hops += hops
+                self._check_forward(fwd, dyn)
+                completion = cycle + self._l1d_hit_latency + hops
             elif (ready := self.hierarchy.data_hit_cycle(dyn.addr,
                                                          cycle)) is not None:
                 # L1 hits dominate most traces; the fast probe skips the
@@ -488,7 +507,7 @@ class CoreModel:
             if self.store_queue.full:
                 self.stats.stalls.store_buffer_full += 1
                 return STALLED
-            self.store_queue.push(dyn.addr, dyn.store_val)
+            self.store_queue.allocate(dyn.addr, dyn.store_val)
             completion = cycle + 1
         else:
             completion = cycle + self._exec_done[idx]
@@ -500,11 +519,28 @@ class CoreModel:
         return ISSUED
 
     def _try_enter(self, dyn: DynInst, result: MemResult) -> bool:
-        """Start a runahead period if this data miss qualifies, issuing
-        the load as its first instruction.  Never on the plain in-order
-        core; :class:`~repro.baselines.runahead.RunaheadCore` overrides
-        it."""
+        """Start a runahead period or an advance episode if this data
+        miss qualifies, issuing the load as its first instruction.
+        Never on the plain in-order core;
+        :class:`~repro.baselines.runahead.RunaheadCore` and
+        :class:`~repro.core.icfp.ICFPCore` override it."""
         return False
+
+    def _is_long_miss(self, result: MemResult) -> bool:
+        """A DRAM fill, or a merge into an in-flight L2-miss fill with
+        more than twice the L2 hit latency left: a miss worth running
+        ahead of.  Stream-buffer hits and merges into short fills return
+        in L2-hit-class time, so they are short misses."""
+        level = result.level
+        return level == MEMORY or (
+            level == PENDING and result.mshr is not None
+            and result.mshr.is_l2
+            and result.ready_cycle - self.cycle > 2 * self._l2_hit_latency)
+
+    def _check_forward(self, fwd, dyn: DynInst) -> None:
+        """Validation hook on a store-to-load forward: none here;
+        :class:`~repro.core.icfp.ICFPCore` checks the forwarded value
+        under ``ICFPFeatures(validate=True)``."""
 
     def commit(self, dyn: DynInst, completion: int) -> None:
         """Book-keeping for a successfully issued instruction."""

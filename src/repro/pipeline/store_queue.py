@@ -4,13 +4,28 @@ This is the 32-entry structure a vanilla in-order processor already has
 (Table 1), used by the in-order, Runahead, and Multipass models.  It
 exists to tolerate store-miss latency and to forward committed store
 data to younger loads; iCFP replaces it with the much larger
-address-hash chained design in :mod:`repro.core.store_buffer`.
+address-hash chained design in :mod:`repro.core.store_buffer`, which
+takes its place as the core's ``store_queue``.  Both answer the one
+normal-mode issue rule (:meth:`~repro.engine.base.CoreModel.try_issue`)
+through ``full``/``allocate``/``forward``; a forward they return
+carries ``value`` and ``excess_hops``, or is an :class:`IndexedStall`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
+
+
+class IndexedStall:
+    """Sentinel forward: an ``indexed`` store buffer cannot disambiguate
+    the load until the conflicting store (``ssn``) drains."""
+
+    __slots__ = ("ssn",)
+
+    def __init__(self, ssn: int) -> None:
+        self.ssn = ssn
 
 
 @dataclass(slots=True)
@@ -19,12 +34,18 @@ class StoreQueueEntry:
     value: object
     #: Cycle the in-progress drain completes; None until launched.
     drain_ready: int | None = None
+    #: Forwarding latency past the D$ probe: none for an associative
+    #: search (the chained store buffer counts its chain hops here).
+    excess_hops: ClassVar[int] = 0
 
 
 class StoreQueue:
     """FIFO of committed stores awaiting their turn to write the cache."""
 
     def __init__(self, entries: int) -> None:
+        if entries < 1:
+            raise ValueError(f"store queue needs at least one entry, "
+                             f"not {entries}")
         self.capacity = entries
         self._queue: deque[StoreQueueEntry] = deque()
         #: addr -> resident-entry count; lets the (dominant) no-match
@@ -42,7 +63,7 @@ class StoreQueue:
     def empty(self) -> bool:
         return not self._queue
 
-    def push(self, addr: int, value) -> StoreQueueEntry:
+    def allocate(self, addr: int, value) -> StoreQueueEntry:
         if self.full:
             raise OverflowError("store queue full")
         entry = StoreQueueEntry(addr, value)

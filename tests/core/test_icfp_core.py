@@ -13,10 +13,11 @@ import pytest
 from repro.baselines import SLTPCore
 from repro.baselines.inorder import InOrderCore
 from repro.core.icfp import ADVANCE, ICFPCore, ICFPFeatures, NORMAL, SIMPLE_RA
+from repro.core.store_buffer import ChainedStoreBuffer
 from repro.exec.store import result_to_payload
 from repro.functional import run_program
 from repro.isa import Assembler, R, assemble_text
-from repro.pipeline import MachineConfig
+from repro.pipeline import MachineConfig, StoreQueue
 from repro.workloads import trace_by_name
 
 # Cold addresses, all in distinct L1/L2 lines.
@@ -413,6 +414,54 @@ def test_store_load_forwarding_under_miss():
     assert core.stats.store_forward_hits >= 1
     assert core.committed_memory[0x2000] == 77
     assert core.main_rf.values[R.r8] == 77
+
+
+def test_normal_mode_forward_is_validated():
+    """Under ``ICFPFeatures(validate=True)`` a normal-mode load that
+    forwards from the store buffer checks the value it gets against the
+    functional one: a store whose buffered value was corrupted is
+    caught at the forward, before anything commits it."""
+    text = """
+        li r6, 0x2000
+        li r7, 77
+        st r7, r6, 0         # cold line: its drain waits on a DRAM fill
+        ld r8, r6, 0         # forwards from the store buffer
+        halt
+    """
+    trace = run_program(assemble_text(text))
+    core = icfp(trace)
+    allocate = core.store_queue.allocate
+
+    def corrupting_allocate(addr, value, poison=0):
+        return allocate(addr, value + 1, poison)
+
+    core.store_queue.allocate = corrupting_allocate
+    with pytest.raises(AssertionError,
+                       match=r"^store-buffer forwarded 78 to load #3, "
+                             r"functional value is 77$"):
+        core.run()
+    assert core.mode == NORMAL and core.stats.advance_entries == 0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda trace: ICFPCore(trace), id="icfp"),
+    pytest.param(lambda trace: ICFPCore(trace, features=ICFPFeatures(
+        store_buffer_kind="indexed", store_buffer_entries=16)),
+        id="icfp-indexed-16"),
+    pytest.param(lambda trace: SLTPCore(trace), id="sltp"),
+])
+def test_store_queue_is_the_chained_store_buffer(make):
+    """The iCFP family keeps one store structure: its ``store_queue`` is
+    the chained store buffer its features describe, with no
+    conventional queue beside it."""
+    core = make(run_program(assemble_text("halt")))
+    store_queue = core.store_queue
+    assert type(store_queue) is ChainedStoreBuffer
+    assert store_queue.kind == core.features.store_buffer_kind
+    assert store_queue.capacity == core.features.store_buffer_entries
+    assert not hasattr(core, "sb")
+    assert not any(isinstance(value, StoreQueue)
+                   for value in vars(core).values())
 
 
 def test_poisoned_data_store_forwards_poison():

@@ -7,7 +7,9 @@ import itertools
 
 import pytest
 
+from repro.baselines import SLTPCore
 from repro.core.icfp import ICFPCore, ICFPFeatures
+from repro.core.slice_buffer import SliceBuffer
 from repro.functional import run_program
 from repro.isa import Assembler, R
 from repro.pipeline import MachineConfig
@@ -114,3 +116,32 @@ def test_wider_poison_never_slower_on_chain_mix():
     eight = ICFPCore(run_program(a.assemble()), config=MachineConfig.hpca09(),
                      features=ICFPFeatures(poison_bits=8)).run().cycles
     assert eight <= one + 20
+
+
+def test_slice_buffer_needs_an_entry():
+    """The load that starts an advance episode is its first slice
+    capture, so a slice buffer with no entries could never hold one:
+    every episode would fall back on entry.  It is refused instead."""
+    trace = run_program(fig1e_program())
+    with pytest.raises(ValueError, match="at least one entry"):
+        ICFPCore(trace, config=MachineConfig.hpca09(),
+                 features=ICFPFeatures(slice_entries=0))
+    with pytest.raises(ValueError, match="at least one entry"):
+        SliceBuffer(0)
+    core = ICFPCore(trace, config=MachineConfig.hpca09(),
+                    features=ICFPFeatures(slice_entries=1, validate=True))
+    core.run()
+    assert not core.validate_final_state()
+    assert core.stats.advance_entries > 0
+
+
+@pytest.mark.parametrize("advance_on", ["l2_d1", "bogus"])
+def test_unknown_advance_trigger_is_refused(advance_on):
+    """The iCFP family triggers on "all" or "l2" misses only; any other
+    value (Runahead's "l2_d1" included) is an error, not a silent
+    "l2"."""
+    trace = run_program(fig1e_program())
+    with pytest.raises(ValueError, match=f"unknown advance_on: {advance_on}"):
+        ICFPCore(trace, features=ICFPFeatures(advance_on=advance_on))
+    with pytest.raises(ValueError, match=f"unknown advance_on: {advance_on}"):
+        SLTPCore(trace, advance_on=advance_on)

@@ -53,7 +53,7 @@ def test_chained_forwarding_matches_oracle(events):
             _, addr, value = event
             if sb.full:
                 continue
-            ssn = sb.allocate(addr, value, 0, seq=0)
+            ssn = sb.allocate(addr, value, 0)
             live[ssn] = (addr, value)
         elif event[0] == "forward":
             _, addr = event
@@ -80,7 +80,7 @@ def test_squash_then_forward_matches_oracle(events, squash_after):
     for event in events:
         if event[0] == "store" and not sb.full:
             _, addr, value = event
-            ssn = sb.allocate(addr, value, 0, seq=0)
+            ssn = sb.allocate(addr, value, 0)
             live[ssn] = (addr, value)
     new_tail = max(sb.ssn_complete + 1, sb.ssn_tail - squash_after)
     sb.squash_to(new_tail)
@@ -105,7 +105,7 @@ def test_indexed_kind_is_conservative(events):
     for event in events:
         if event[0] == "store" and not sb.full:
             _, addr, value = event
-            ssn = sb.allocate(addr, value, 0, seq=0)
+            ssn = sb.allocate(addr, value, 0)
             live[ssn] = (addr, value)
     for addr in _ADDRS:
         got = sb.forward(addr)

@@ -7,14 +7,16 @@ import weakref
 import pytest
 
 from repro.baselines import InOrderCore, MultipassCore, RunaheadCore, SLTPCore
-from repro.baselines.runahead import NORMAL
-from repro.core.icfp import ICFPCore
-from repro.engine import ISSUED, SimulationDiverged
+from repro.core.icfp import ICFPCore, ICFPFeatures
+from repro.core.store_buffer import ChainedStoreBuffer
+from repro.engine import CoreModel, ISSUED, SimulationDiverged
+from repro.engine.base import ENTERED, NORMAL
 from repro.functional import run_program
 from repro.harness.experiment import ExperimentConfig, MODELS, make_core
 from repro.isa import Assembler, R, assemble_text
 from repro.memory import CacheConfig, HierarchyConfig
-from repro.pipeline import MachineConfig
+from repro.pipeline import MachineConfig, StoreQueue
+from repro.workloads import trace_by_name
 
 
 def quick_config(**over):
@@ -327,6 +329,55 @@ def test_core_constants_follow_machine_config(name):
     core = InOrderCore(trace, config=config)
     assert read(core) == value
     assert core.run().instructions == 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_normal_mode_issues_through_core_try_issue(monkeypatch, model):
+    """``CoreModel.try_issue`` is every model's normal-mode issue rule:
+    every call comes in normal mode, and each advance entry is one of
+    its ``ENTERED`` outcomes.  The wrapper goes on the class before the
+    core is built: the iCFP family dispatches through the class function
+    it looked up at construction (``_mode_issue``), which an instance
+    attribute would never reach."""
+    counts = {"calls": 0, "entered": 0, "other_mode": 0}
+    try_issue = CoreModel.try_issue
+
+    def counting_try_issue(self, idx):
+        counts["calls"] += 1
+        if self.mode != NORMAL:
+            counts["other_mode"] += 1
+        outcome = try_issue(self, idx)
+        if outcome is ENTERED:
+            counts["entered"] += 1
+        return outcome
+
+    monkeypatch.setattr(CoreModel, "try_issue", counting_try_issue)
+    core = make_core(model, trace_by_name("mcf_like", 600),
+                     ExperimentConfig())
+    result = core.run()
+    assert counts["other_mode"] == 0
+    assert counts["entered"] == result.stats.advance_entries
+    if model == "in-order":
+        assert counts["calls"] >= result.instructions
+    else:
+        assert result.stats.advance_entries > 0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda trace: StoreQueue(0), id="store-queue"),
+    pytest.param(lambda trace: ChainedStoreBuffer(capacity=0),
+                 id="chained-store-buffer"),
+    pytest.param(lambda trace: InOrderCore(trace, config=dataclasses.replace(
+        quick_config(), store_buffer_entries=0)), id="in-order"),
+    pytest.param(lambda trace: ICFPCore(trace, features=ICFPFeatures(
+        store_buffer_entries=0)), id="icfp"),
+])
+def test_store_structures_need_an_entry(make):
+    """A store structure with no entries could never take a store (the
+    run would stall at the first one until the cycle limit), so it, and
+    a core built with one, is refused at construction."""
+    with pytest.raises(ValueError, match="at least one entry"):
+        make(run_program(assemble_text("halt")))
 
 
 def issue_cycles(core):

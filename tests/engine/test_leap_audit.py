@@ -33,6 +33,8 @@ MODELS = [
     (InOrderCore, {}),
     (RunaheadCore, {"advance_on": "l2"}),
     (MultipassCore, {}),
+    # SLTP at both triggers: "l2" is its Figure 5 configuration.
+    (SLTPCore, {"advance_on": "l2"}),
     (SLTPCore, {"advance_on": "all"}),
     (ICFPCore, {"features": ICFPFeatures()}),
     # The only configuration whose runs fall back on `indexed_stall`, so
